@@ -28,8 +28,8 @@
 //! | `dynamic-sharded` | Fact 1.3 sharded speculate-and-replay engine | dynamic | weight | no (½) |
 //! | `dynamic-rebuild` | Fact 1.3 recompute-from-scratch baseline | dynamic | weight | no (½) |
 //! | `dynamic-randomwalk` | local dominance via seeded random-walk repair (cf. arXiv:2104.13098) | dynamic | weight | no (½) |
-//! | `dynamic-lazy` | Fact 1.3 under a per-update work budget, restored at flush | dynamic | weight | no (½) |
-//! | `dynamic-stale` | Fact 1.3 with ε-stale deferred repair, restored at flush | dynamic | weight | no (½) |
+//! | `dynamic-lazy` | Fact 1.3 under a per-update work budget (`RepairPolicy::Budget`), restored at flush | dynamic | weight | no (½) |
+//! | `dynamic-stale` | Fact 1.3 with ε-stale deferred repair (`RepairPolicy::Window`), restored at flush | dynamic | weight | no (½) |
 //! | `random-order-unweighted` | Theorem 3.4 | random-order | cardinality | no (0.506) |
 //! | `greedy` | folklore ½ baseline | offline, streams | weight | no |
 //! | `local-ratio` | \[PS17\], Section 3.2 | offline, streams | weight | no |

@@ -1,26 +1,29 @@
 //! Adapters for the fully-dynamic arrival model: the incremental
-//! update-stream engine, its recompute-from-scratch baseline, and the
-//! shootout competitors (random-walk, bounded-lazy, ε-stale).
+//! update-stream engine, its recompute-from-scratch baseline, the sharded
+//! engine, and the shootout competitors (random-walk, bounded-lazy,
+//! ε-stale).
 //!
 //! The eager engines maintain the invariant that after every update the
 //! matching admits no positive augmentation of at most
 //! [`SolveRequest::aug_depth`] edges, which by Fact 1.3 certifies the
 //! declared ½ floor (at the default depth 3) *at every point of the
-//! stream*. The deferring competitors (`dynamic-lazy`, `dynamic-stale`)
-//! make the same claim only after their end-of-stream flush, which these
-//! adapters always perform before assembling the report; the
+//! stream*. `dynamic-lazy` and `dynamic-stale` are the same
+//! [`DynamicMatcher`] under a deferring [`RepairPolicy`]: they make the
+//! same claim only after their end-of-stream flush, which the shared
+//! replay loop always performs before the report is assembled. The
 //! `dynamic-randomwalk` competitor certifies its ½ floor through
 //! single-edge local dominance instead.
 //!
-//! Every adapter reports the same seven-key telemetry prefix (built by
-//! `common_extras`) so cross-solver tooling can diff recourse, repair
-//! work, and pool behaviour without per-solver cases.
+//! Every adapter reports through one assembly path (`report`), so all of
+//! them carry the same seven-key telemetry prefix and cross-solver
+//! tooling can diff recourse, repair work, and pool behaviour without
+//! per-solver cases.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use wmatch_dynamic::{
-    BatchError, DynamicConfig, DynamicCounters, DynamicMatcher, LazyMatcher, RandomWalkConfig,
-    RandomWalkMatcher, RecomputeBaseline, ShardedMatcher, StaleMatcher, UpdateOp,
+    BatchError, DynamicConfig, DynamicMatcher, RandomWalkConfig, RandomWalkMatcher,
+    RecomputeBaseline, RepairPolicy, ShardedMatcher, UpdateEngine, UpdateOp,
 };
 
 use crate::capabilities::{Capabilities, ModelKind, Objective};
@@ -30,12 +33,18 @@ use crate::report::{SolveReport, Telemetry};
 use crate::request::{Effort, SolveRequest};
 use crate::solvers::{preflight, reject_warm_start, Solver};
 
-/// The update sequence of a dynamic instance (preflight guarantees the
-/// model matches).
-fn updates_of(instance: &Instance) -> &[UpdateOp] {
-    instance
+/// The shared entry checks of every dynamic adapter; returns the update
+/// sequence (preflight guarantees the model is dynamic).
+fn admit<'a>(
+    solver: &dyn Solver,
+    instance: &'a Instance,
+    request: &SolveRequest,
+) -> Result<&'a [UpdateOp], SolveError> {
+    preflight(solver.name(), &solver.capabilities(), instance, request)?;
+    reject_warm_start(solver.name(), request)?;
+    Ok(instance
         .updates()
-        .expect("preflight admits only the dynamic model")
+        .expect("preflight admits only the dynamic model"))
 }
 
 /// Maps a malformed update onto the uniform error contract.
@@ -92,8 +101,8 @@ fn dynamic_cfg(request: &SolveRequest) -> DynamicConfig {
 }
 
 /// Renders updates-per-second from a replayed op count and duration.
-fn updates_per_sec(updates: usize, replay: std::time::Duration) -> String {
-    let secs = replay.as_secs_f64();
+fn updates_per_sec(updates: usize, elapsed: Duration) -> String {
+    let secs = elapsed.as_secs_f64();
     if secs > 0.0 {
         format!("{:.1}", updates as f64 / secs)
     } else {
@@ -101,24 +110,65 @@ fn updates_per_sec(updates: usize, replay: std::time::Duration) -> String {
     }
 }
 
-/// The uniform telemetry prefix every dynamic solver reports, in this
-/// pinned order: `updates_applied`, `recourse_total`, `updates_per_sec`,
-/// `augmentations_applied`, `rebuilds`, `steals`, `scratch_high_water`.
-/// Engines without a given facility report its honest zero (the baseline
-/// has no pool, so `steals` is 0; the walk engine never rebuilds) rather
-/// than omitting the key — cross-solver tooling diffs these columns
-/// positionally. Solver-specific extras are appended *after* the prefix.
-fn common_extras(
-    counters: &DynamicCounters,
+/// What one stream replay observed, for [`report`].
+struct Replay {
+    /// When the solve started (engine construction included).
+    t0: Instant,
+    /// The replay itself, end-of-stream flush included.
+    elapsed: Duration,
+    /// Peak live edges over the replay.
+    peak_live: usize,
+    /// Stream length.
     updates: usize,
-    replay: std::time::Duration,
+}
+
+/// The shared per-op replay loop: applies every update, tracking the
+/// live-edge peak, then flushes whatever repair debt the engine deferred
+/// — the declared floor (and the certificate when requested) is a
+/// post-flush claim. The flush is a no-op for eager engines.
+fn replay<E: UpdateEngine>(
+    engine: &mut E,
+    updates: &[UpdateOp],
+    t0: Instant,
+) -> Result<Replay, SolveError> {
+    let mut peak_live = engine.graph().live_edges();
+    let start = Instant::now();
+    for (i, &op) in updates.iter().enumerate() {
+        engine.apply(op).map_err(|e| update_error_at(i, e))?;
+        peak_live = peak_live.max(engine.graph().live_edges());
+    }
+    engine.flush();
+    Ok(Replay {
+        t0,
+        elapsed: start.elapsed(),
+        peak_live,
+        updates: updates.len(),
+    })
+}
+
+/// The shared report assembly. Every dynamic solver reports the same
+/// telemetry prefix, in this pinned order: `updates_applied`,
+/// `recourse_total`, `updates_per_sec`, `augmentations_applied`,
+/// `rebuilds`, `steals`, `scratch_high_water`. Engines without a given
+/// facility report its honest zero (the baseline has no pool, so `steals`
+/// is 0; the walk engine never rebuilds) rather than omitting the key —
+/// cross-solver tooling diffs these columns positionally. The solver's
+/// `specific` extras follow the prefix.
+fn report(
+    name: &'static str,
+    request: &SolveRequest,
+    engine: &dyn UpdateEngine,
+    run: Replay,
     steals: u64,
     scratch_high_water: usize,
-) -> Vec<(&'static str, String)> {
-    vec![
+    specific: Vec<(&'static str, String)>,
+) -> SolveReport {
+    let wall = run.t0.elapsed();
+    let counters = engine.counters();
+    let mut extras = vec![
         ("updates_applied", counters.updates_applied.to_string()),
         ("recourse_total", counters.recourse_total.to_string()),
-        ("updates_per_sec", updates_per_sec(updates, replay)),
+        ("updates_per_sec", updates_per_sec(run.updates, run.elapsed)),
         (
             "augmentations_applied",
             counters.augmentations_applied.to_string(),
@@ -126,7 +176,49 @@ fn common_extras(
         ("rebuilds", counters.rebuilds.to_string()),
         ("steals", steals.to_string()),
         ("scratch_high_water", scratch_high_water.to_string()),
-    ]
+    ];
+    extras.extend(specific);
+    let telemetry = Telemetry {
+        rounds: counters.rebuilds as usize,
+        peak_stored_edges: run.peak_live + engine.matching().len(),
+        wall,
+        extras,
+        ..Telemetry::new()
+    };
+    SolveReport::assemble(
+        name,
+        engine.matching().clone(),
+        Objective::Weight,
+        &engine.graph().snapshot(),
+        request.certify,
+        telemetry,
+    )
+}
+
+/// The solve of the three [`DynamicMatcher`] adapters, which differ only
+/// in the repair policy and the policy's own extras.
+fn solve_matcher(
+    solver: &dyn Solver,
+    instance: &Instance,
+    request: &SolveRequest,
+    policy: RepairPolicy,
+    specific: fn(&DynamicMatcher) -> Vec<(&'static str, String)>,
+) -> Result<SolveReport, SolveError> {
+    let updates = admit(solver, instance, request)?;
+    let t0 = Instant::now();
+    let mut engine = DynamicMatcher::from_graph(instance.graph(), dynamic_cfg(request))
+        .map_err(update_error)?
+        .with_policy(policy);
+    let run = replay(&mut engine, updates, t0)?;
+    Ok(report(
+        solver.name(),
+        request,
+        &engine,
+        run,
+        engine.steals(),
+        engine.scratch_high_water(),
+        specific(&engine),
+    ))
 }
 
 #[cfg(test)]
@@ -189,43 +281,7 @@ impl Solver for DynamicWgtAug {
         instance: &Instance,
         request: &SolveRequest,
     ) -> Result<SolveReport, SolveError> {
-        preflight(self.name(), &self.capabilities(), instance, request)?;
-        reject_warm_start(self.name(), request)?;
-        let updates = updates_of(instance);
-        let t0 = Instant::now();
-        let mut engine = DynamicMatcher::from_graph(instance.graph(), dynamic_cfg(request))
-            .map_err(update_error)?;
-        let mut peak_live = engine.graph().live_edges();
-        let replay_start = Instant::now();
-        for (i, &op) in updates.iter().enumerate() {
-            engine.apply(op).map_err(|e| update_error_at(i, e))?;
-            peak_live = peak_live.max(engine.graph().live_edges());
-        }
-        let replay = replay_start.elapsed();
-        let wall = t0.elapsed();
-        let counters = engine.counters();
-        let final_graph = engine.graph().snapshot();
-        let telemetry = Telemetry {
-            rounds: counters.rebuilds as usize,
-            peak_stored_edges: peak_live + engine.matching().len(),
-            wall,
-            extras: common_extras(
-                &counters,
-                updates.len(),
-                replay,
-                engine.steals(),
-                engine.scratch_high_water(),
-            ),
-            ..Telemetry::new()
-        };
-        Ok(SolveReport::assemble(
-            self.name(),
-            engine.matching().clone(),
-            Objective::Weight,
-            &final_graph,
-            request.certify,
-            telemetry,
-        ))
+        solve_matcher(self, instance, request, RepairPolicy::Eager, |_| Vec::new())
     }
 }
 
@@ -263,9 +319,7 @@ impl Solver for DynamicRandomWalk {
         instance: &Instance,
         request: &SolveRequest,
     ) -> Result<SolveReport, SolveError> {
-        preflight(self.name(), &self.capabilities(), instance, request)?;
-        reject_warm_start(self.name(), request)?;
-        let updates = updates_of(instance);
+        let updates = admit(self, instance, request)?;
         let trials = match request.effort {
             Effort::Quick => 2,
             Effort::Standard => 4,
@@ -278,49 +332,29 @@ impl Solver for DynamicRandomWalk {
         let t0 = Instant::now();
         let mut engine =
             RandomWalkMatcher::from_graph(instance.graph(), cfg).map_err(update_error)?;
-        let mut peak_live = engine.graph().live_edges();
-        let replay_start = Instant::now();
-        for (i, &op) in updates.iter().enumerate() {
-            engine.apply(op).map_err(|e| update_error_at(i, e))?;
-            peak_live = peak_live.max(engine.graph().live_edges());
-        }
-        let replay = replay_start.elapsed();
-        let wall = t0.elapsed();
-        let counters = engine.counters();
-        let final_graph = engine.graph().snapshot();
-        let mut extras = common_extras(
-            &counters,
-            updates.len(),
-            replay,
-            engine.steals(),
-            engine.scratch_high_water(),
-        );
-        extras.extend([
+        let run = replay(&mut engine, updates, t0)?;
+        let specific = vec![
             ("walks_taken", engine.walks_taken().to_string()),
             ("walk_hits", engine.walk_hits().to_string()),
-        ]);
-        let telemetry = Telemetry {
-            peak_stored_edges: peak_live + engine.matching().len(),
-            wall,
-            extras,
-            ..Telemetry::new()
-        };
-        Ok(SolveReport::assemble(
+        ];
+        Ok(report(
             self.name(),
-            engine.matching().clone(),
-            Objective::Weight,
-            &final_graph,
-            request.certify,
-            telemetry,
+            request,
+            &engine,
+            run,
+            engine.steals(),
+            engine.scratch_high_water(),
+            specific,
         ))
     }
 }
 
-/// The bounded-lazy competitor: each update repairs with at most
-/// [`SolveRequest::work_budget`] augmentations; leftover dirty regions
-/// are carried forward and settled by the end-of-stream flush this
-/// adapter always performs, which restores the Fact 1.3 invariant the
-/// declared floor is measured against.
+/// The bounded-lazy competitor: the [`DynamicMatcher`] under
+/// [`RepairPolicy::Budget`]`(`[`SolveRequest::work_budget`]`)` — each
+/// update repairs with at most that many augmentations; leftover dirty
+/// regions are carried forward and settled by the end-of-stream flush,
+/// which restores the Fact 1.3 invariant the declared floor is measured
+/// against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DynamicLazy;
 
@@ -348,60 +382,22 @@ impl Solver for DynamicLazy {
         instance: &Instance,
         request: &SolveRequest,
     ) -> Result<SolveReport, SolveError> {
-        preflight(self.name(), &self.capabilities(), instance, request)?;
-        reject_warm_start(self.name(), request)?;
-        let updates = updates_of(instance);
-        let t0 = Instant::now();
-        let mut engine =
-            LazyMatcher::from_graph(instance.graph(), dynamic_cfg(request), request.work_budget)
-                .map_err(update_error)?;
-        let mut peak_live = engine.graph().live_edges();
-        let replay_start = Instant::now();
-        for (i, &op) in updates.iter().enumerate() {
-            engine.apply(op).map_err(|e| update_error_at(i, e))?;
-            peak_live = peak_live.max(engine.graph().live_edges());
-        }
-        // settle the carried repair debt: the declared floor (and the
-        // certificate when requested) is a post-flush claim
-        engine.flush();
-        let replay = replay_start.elapsed();
-        let wall = t0.elapsed();
-        let counters = engine.counters();
-        let final_graph = engine.graph().snapshot();
-        let mut extras = common_extras(
-            &counters,
-            updates.len(),
-            replay,
-            engine.steals(),
-            engine.scratch_high_water(),
-        );
-        extras.extend([
-            ("budget_exhausted", engine.exhausted_updates().to_string()),
-            ("carry", engine.carry_len().to_string()),
-        ]);
-        let telemetry = Telemetry {
-            rounds: counters.rebuilds as usize,
-            peak_stored_edges: peak_live + engine.matching().len(),
-            wall,
-            extras,
-            ..Telemetry::new()
-        };
-        Ok(SolveReport::assemble(
-            self.name(),
-            engine.matching().clone(),
-            Objective::Weight,
-            &final_graph,
-            request.certify,
-            telemetry,
-        ))
+        let policy = RepairPolicy::Budget(request.work_budget);
+        solve_matcher(self, instance, request, policy, |engine| {
+            vec![
+                ("budget_exhausted", engine.exhausted_updates().to_string()),
+                ("carry", engine.pending_len().to_string()),
+            ]
+        })
     }
 }
 
-/// The tolerate-ε-staleness competitor: every update performs only the
-/// structural change (plus dead-matched-edge cleanup), and one batched
-/// repair sweep runs per [`SolveRequest::staleness_bound`] deferred
-/// updates. This adapter flushes at end of stream, so the report's
-/// matching meets the same Fact 1.3 floor as the eager engine.
+/// The tolerate-ε-staleness competitor: the [`DynamicMatcher`] under
+/// [`RepairPolicy::Window`]`(`[`SolveRequest::staleness_bound`]`)` —
+/// every update performs only the structural change and the validity
+/// rule, and one batched repair sweep runs per window of deferred
+/// updates. The end-of-stream flush makes the report's matching meet the
+/// same Fact 1.3 floor as the eager engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DynamicStale;
 
@@ -428,52 +424,10 @@ impl Solver for DynamicStale {
         instance: &Instance,
         request: &SolveRequest,
     ) -> Result<SolveReport, SolveError> {
-        preflight(self.name(), &self.capabilities(), instance, request)?;
-        reject_warm_start(self.name(), request)?;
-        let updates = updates_of(instance);
-        let t0 = Instant::now();
-        let mut engine = StaleMatcher::from_graph(
-            instance.graph(),
-            dynamic_cfg(request),
-            request.staleness_bound,
-        )
-        .map_err(update_error)?;
-        let mut peak_live = engine.graph().live_edges();
-        let replay_start = Instant::now();
-        for (i, &op) in updates.iter().enumerate() {
-            engine.apply(op).map_err(|e| update_error_at(i, e))?;
-            peak_live = peak_live.max(engine.graph().live_edges());
-        }
-        // settle the open staleness window: the floor holds at flush
-        // boundaries, and the report must be one
-        engine.flush();
-        let replay = replay_start.elapsed();
-        let wall = t0.elapsed();
-        let counters = engine.counters();
-        let final_graph = engine.graph().snapshot();
-        let mut extras = common_extras(
-            &counters,
-            updates.len(),
-            replay,
-            engine.steals(),
-            engine.scratch_high_water(),
-        );
-        extras.extend([("flushes", engine.flushes().to_string())]);
-        let telemetry = Telemetry {
-            rounds: counters.rebuilds as usize,
-            peak_stored_edges: peak_live + engine.matching().len(),
-            wall,
-            extras,
-            ..Telemetry::new()
-        };
-        Ok(SolveReport::assemble(
-            self.name(),
-            engine.matching().clone(),
-            Objective::Weight,
-            &final_graph,
-            request.certify,
-            telemetry,
-        ))
+        let policy = RepairPolicy::Window(request.staleness_bound);
+        solve_matcher(self, instance, request, policy, |engine| {
+            vec![("flushes", engine.flushes().to_string())]
+        })
     }
 }
 
@@ -505,41 +459,19 @@ impl Solver for DynamicRebuild {
         instance: &Instance,
         request: &SolveRequest,
     ) -> Result<SolveReport, SolveError> {
-        preflight(self.name(), &self.capabilities(), instance, request)?;
-        reject_warm_start(self.name(), request)?;
-        let updates = updates_of(instance);
+        let updates = admit(self, instance, request)?;
         let t0 = Instant::now();
         let mut baseline = RecomputeBaseline::from_graph(instance.graph(), request.aug_depth)
             .map_err(update_error)?;
-        let mut peak_live = baseline.graph().live_edges();
-        let replay_start = Instant::now();
-        for (i, &op) in updates.iter().enumerate() {
-            baseline.apply(op).map_err(|e| update_error_at(i, e))?;
-            peak_live = peak_live.max(baseline.graph().live_edges());
-        }
-        let replay = replay_start.elapsed();
-        let wall = t0.elapsed();
-        let counters = baseline.counters();
-        let final_graph = baseline.graph().snapshot();
-        let telemetry = Telemetry {
-            peak_stored_edges: peak_live + baseline.matching().len(),
-            wall,
-            extras: common_extras(
-                &counters,
-                updates.len(),
-                replay,
-                baseline.steals(),
-                baseline.scratch_high_water(),
-            ),
-            ..Telemetry::new()
-        };
-        Ok(SolveReport::assemble(
+        let run = replay(&mut baseline, updates, t0)?;
+        Ok(report(
             self.name(),
-            baseline.matching().clone(),
-            Objective::Weight,
-            &final_graph,
-            request.certify,
-            telemetry,
+            request,
+            &baseline,
+            run,
+            baseline.steals(),
+            baseline.scratch_high_water(),
+            Vec::new(),
         ))
     }
 }
@@ -579,15 +511,13 @@ impl Solver for DynamicSharded {
         instance: &Instance,
         request: &SolveRequest,
     ) -> Result<SolveReport, SolveError> {
-        preflight(self.name(), &self.capabilities(), instance, request)?;
-        reject_warm_start(self.name(), request)?;
-        let updates = updates_of(instance);
+        let updates = admit(self, instance, request)?;
         let t0 = Instant::now();
         let mut engine =
             ShardedMatcher::from_graph(instance.graph(), dynamic_cfg(request), request.shards)
                 .map_err(update_error)?;
         let mut peak_live = engine.graph().live_edges();
-        let replay_start = Instant::now();
+        let start = Instant::now();
         // batches bound speculation memory; peak_live is sampled per batch
         // (within a batch the live count moves monotonically per shard, so
         // per-op sampling would only refine ties)
@@ -600,39 +530,28 @@ impl Solver for DynamicSharded {
             offset += chunk.len();
             peak_live = peak_live.max(engine.graph().live_edges());
         }
-        let replay = replay_start.elapsed();
-        let wall = t0.elapsed();
-        let counters = engine.counters();
-        let final_graph = engine.graph().snapshot();
-        let mut extras = common_extras(
-            &counters,
-            updates.len(),
-            replay,
-            engine.steals(),
-            engine.scratch_high_water(),
-        );
-        extras.extend([
+        let run = Replay {
+            t0,
+            elapsed: start.elapsed(),
+            peak_live,
+            updates: updates.len(),
+        };
+        let specific = vec![
             ("shards", engine.shard_count().to_string()),
             ("plans_replayed", engine.replayed().to_string()),
             ("plan_fallbacks", engine.fallbacks().to_string()),
             ("plans_inline", engine.inline_commits().to_string()),
             ("overlap_groups", engine.overlap_groups().to_string()),
             ("balls_parallel", engine.balls_parallel().to_string()),
-        ]);
-        let telemetry = Telemetry {
-            rounds: counters.rebuilds as usize,
-            peak_stored_edges: peak_live + engine.matching().len(),
-            wall,
-            extras,
-            ..Telemetry::new()
-        };
-        Ok(SolveReport::assemble(
+        ];
+        Ok(report(
             self.name(),
-            engine.matching().clone(),
-            Objective::Weight,
-            &final_graph,
-            request.certify,
-            telemetry,
+            request,
+            &engine,
+            run,
+            engine.steals(),
+            engine.scratch_high_water(),
+            specific,
         ))
     }
 }

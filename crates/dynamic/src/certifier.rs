@@ -5,19 +5,12 @@
 //! repo's quality claims compare it against the exact optimum at
 //! checkpoints. On bipartite workloads this used to mean a cold blossom
 //! or Hungarian solve per checkpoint — now an
-//! [`IncrementalCertifier`] rides the stream and each checkpoint is a
-//! warm dual-repair re-solve from the previous optimum, so checking every
-//! 1k ops costs what every 5k ops used to.
-
-use wmatch_graph::Matching;
-use wmatch_oracle::{IncrementalCertifier, OracleError};
-
-use crate::dyngraph::DynGraph;
-use crate::engine::{DynamicMatcher, RecomputeBaseline};
-use crate::lazy::LazyMatcher;
-use crate::randomwalk::RandomWalkMatcher;
-use crate::sharded::ShardedMatcher;
-use crate::stale::StaleMatcher;
+//! [`IncrementalCertifier`](wmatch_oracle::IncrementalCertifier) rides the
+//! stream and each checkpoint is a warm dual-repair re-solve from the
+//! previous optimum, so checking every 1k ops costs what every 5k ops
+//! used to. Every engine gets the hook from one provided method,
+//! [`UpdateEngine::certify_checkpoint`](crate::UpdateEngine::certify_checkpoint),
+//! which flushes any deferred repairs before it measures.
 
 /// One checkpoint's verdict: the engine's maintained matching measured
 /// against the exact, certificate-checked optimum.
@@ -33,135 +26,13 @@ pub struct CheckpointCertificate {
     pub ratio: f64,
 }
 
-fn checkpoint(
-    graph: &DynGraph,
-    matching: &Matching,
-    cert: &mut IncrementalCertifier,
-) -> Result<CheckpointCertificate, OracleError> {
-    let g = graph.snapshot();
-    let optimum = cert.certify(&g)?.optimum;
-    let engine_weight = matching.weight();
-    let ratio = if optimum == 0 {
-        1.0
-    } else {
-        engine_weight as f64 / optimum as f64
-    };
-    Ok(CheckpointCertificate {
-        optimum,
-        engine_weight,
-        ratio,
-    })
-}
-
-impl DynamicMatcher {
-    /// Re-certifies the engine's current graph through `cert` (warm from
-    /// the previous checkpoint) and measures the maintained matching
-    /// against the exact optimum.
-    ///
-    /// # Errors
-    ///
-    /// [`OracleError`] if the live graph does not fit the certifier's
-    /// bipartition.
-    pub fn certify_checkpoint(
-        &self,
-        cert: &mut IncrementalCertifier,
-    ) -> Result<CheckpointCertificate, OracleError> {
-        checkpoint(self.graph(), self.matching(), cert)
-    }
-}
-
-impl ShardedMatcher {
-    /// Re-certifies the committed state through `cert`; see
-    /// [`DynamicMatcher::certify_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`OracleError`] if the live graph does not fit the certifier's
-    /// bipartition.
-    pub fn certify_checkpoint(
-        &self,
-        cert: &mut IncrementalCertifier,
-    ) -> Result<CheckpointCertificate, OracleError> {
-        checkpoint(self.graph(), self.matching(), cert)
-    }
-}
-
-impl RecomputeBaseline {
-    /// Re-certifies the baseline's current graph through `cert`; see
-    /// [`DynamicMatcher::certify_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`OracleError`] if the live graph does not fit the certifier's
-    /// bipartition.
-    pub fn certify_checkpoint(
-        &self,
-        cert: &mut IncrementalCertifier,
-    ) -> Result<CheckpointCertificate, OracleError> {
-        checkpoint(self.graph(), self.matching(), cert)
-    }
-}
-
-impl RandomWalkMatcher {
-    /// Re-certifies the engine's current graph through `cert`; see
-    /// [`DynamicMatcher::certify_checkpoint`]. The walk engine repairs
-    /// eagerly (local dominance after every update), so no flush is
-    /// needed first.
-    ///
-    /// # Errors
-    ///
-    /// [`OracleError`] if the live graph does not fit the certifier's
-    /// bipartition.
-    pub fn certify_checkpoint(
-        &self,
-        cert: &mut IncrementalCertifier,
-    ) -> Result<CheckpointCertificate, OracleError> {
-        checkpoint(self.graph(), self.matching(), cert)
-    }
-}
-
-impl LazyMatcher {
-    /// Settles the carried repair debt, then re-certifies through `cert`
-    /// — the flush is what makes the measured ratio comparable against
-    /// the engine's declared (post-flush) floor; see
-    /// [`DynamicMatcher::certify_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`OracleError`] if the live graph does not fit the certifier's
-    /// bipartition.
-    pub fn certify_checkpoint(
-        &mut self,
-        cert: &mut IncrementalCertifier,
-    ) -> Result<CheckpointCertificate, OracleError> {
-        self.flush();
-        checkpoint(self.graph(), self.matching(), cert)
-    }
-}
-
-impl StaleMatcher {
-    /// Settles the deferred repairs, then re-certifies through `cert` —
-    /// the staleness contract only claims the floor at flush boundaries;
-    /// see [`DynamicMatcher::certify_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`OracleError`] if the live graph does not fit the certifier's
-    /// bipartition.
-    pub fn certify_checkpoint(
-        &mut self,
-        cert: &mut IncrementalCertifier,
-    ) -> Result<CheckpointCertificate, OracleError> {
-        self.flush();
-        checkpoint(self.graph(), self.matching(), cert)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::DynamicConfig;
+    use wmatch_oracle::IncrementalCertifier;
+
+    use crate::engine::{DynamicConfig, DynamicMatcher, RepairPolicy, UpdateEngine};
     use crate::update::UpdateOp;
+    use crate::{RandomWalkConfig, RandomWalkMatcher, ShardedMatcher};
 
     #[test]
     fn checkpoint_ratio_respects_the_floor() {
@@ -187,9 +58,10 @@ mod tests {
         let side = vec![false, false, true, true];
         let ops = [UpdateOp::insert(0, 2, 5), UpdateOp::insert(1, 3, 7)];
 
-        // the stale engine defers both repairs; the checkpoint must not
+        // the window policy defers both repairs; the checkpoint must not
         // measure the unrepaired (empty) matching against the optimum
-        let mut stale = crate::StaleMatcher::new(4, DynamicConfig::default(), 10);
+        let mut stale =
+            DynamicMatcher::new(4, DynamicConfig::default()).with_policy(RepairPolicy::Window(10));
         let mut cert = IncrementalCertifier::new(side.clone());
         for &op in &ops {
             stale.apply(op).unwrap();
@@ -200,7 +72,8 @@ mod tests {
         assert_eq!(ck.engine_weight, 12, "checkpoint flushed first");
         assert!(ck.ratio >= 0.5 - 1e-9);
 
-        let mut lazy = crate::LazyMatcher::new(4, DynamicConfig::default(), 1);
+        let mut lazy =
+            DynamicMatcher::new(4, DynamicConfig::default()).with_policy(RepairPolicy::Budget(1));
         let mut cert = IncrementalCertifier::new(side.clone());
         for &op in &ops {
             lazy.apply(op).unwrap();
@@ -209,7 +82,7 @@ mod tests {
         assert_eq!(ck.optimum, 12);
         assert!(ck.ratio >= 0.5 - 1e-9);
 
-        let mut walk = crate::RandomWalkMatcher::new(4, crate::RandomWalkConfig::default());
+        let mut walk = RandomWalkMatcher::new(4, RandomWalkConfig::default());
         let mut cert = IncrementalCertifier::new(side);
         for &op in &ops {
             walk.apply(op).unwrap();
@@ -217,5 +90,20 @@ mod tests {
         let ck = walk.certify_checkpoint(&mut cert).unwrap();
         assert_eq!(ck.optimum, 12);
         assert!(ck.ratio >= 0.5 - 1e-9);
+    }
+
+    #[test]
+    fn sharded_checkpoint_flushes_deferred_repairs() {
+        // degraded-mode ingest defers both repairs; the checkpoint must
+        // flush them rather than measure the empty matching
+        let mut eng = ShardedMatcher::new(4, DynamicConfig::default(), 1);
+        let mut cert = IncrementalCertifier::new(vec![false, false, true, true]);
+        eng.apply_deferred(&[UpdateOp::insert(0, 2, 5), UpdateOp::insert(1, 3, 7)])
+            .unwrap();
+        assert_eq!(eng.matching().weight(), 0, "both repairs deferred");
+        let ck = eng.certify_checkpoint(&mut cert).unwrap();
+        assert_eq!(ck.optimum, 12);
+        assert_eq!(ck.engine_weight, 12, "checkpoint flushed first");
+        assert_eq!(eng.deferred_repairs(), 0);
     }
 }

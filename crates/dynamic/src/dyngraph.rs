@@ -25,6 +25,7 @@
 use wmatch_graph::{Edge, Graph, Vertex};
 
 use crate::error::DynamicError;
+use crate::update::UpdateOp;
 
 /// Sentinel marking a dead slab slot (`u32::MAX` is never a valid
 /// endpoint: the vertex range is checked on insertion).
@@ -261,6 +262,19 @@ impl DynGraph {
         self.live -= 1;
         self.maybe_compact();
         Ok(e)
+    }
+
+    /// Applies the structural change of one update: [`DynGraph::insert`]
+    /// or [`DynGraph::delete`].
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of the underlying call (the graph is unchanged).
+    pub(crate) fn apply(&mut self, op: UpdateOp) -> Result<(), DynamicError> {
+        match op {
+            UpdateOp::Insert { u, v, weight } => self.insert(u, v, weight).map(drop),
+            UpdateOp::Delete { u, v } => self.delete(u, v).map(drop),
+        }
     }
 
     /// Whether a live copy of `{u, v}` with exactly this weight exists.

@@ -9,7 +9,9 @@
 //! [`best_augmentation`](wmatch_graph::aug_search::best_augmentation)
 //! searches them). Fact 1.3 then certifies `w(M) ≥ (1 − 1/ℓ)·w(M*)` for
 //! `max_len = 2ℓ − 1` — the engine's approximation floor holds at every
-//! point of the update stream, not just at the end.
+//! point of the update stream, not just at the end. That is the default
+//! [`RepairPolicy::Eager`]; the deferring policies keep the matching valid
+//! after every update and restore the invariant at every flush.
 //!
 //! # Locality
 //!
@@ -38,12 +40,13 @@ use wmatch_core::greedy::greedy_by_weight;
 use wmatch_core::main_alg::{improve_matching_offline_pooled, MainAlgConfig};
 use wmatch_graph::aug_search::AugSearcher;
 use wmatch_graph::{Edge, Graph, Matching, Scratch, Vertex, WorkerPool};
+use wmatch_oracle::{IncrementalCertifier, OracleError};
 
+use crate::certifier::CheckpointCertificate;
 use crate::chaos::ChaosInjector;
 use crate::dyngraph::DynGraph;
 use crate::error::DynamicError;
-use crate::repair::{repair_delete, repair_insert, RepairKit};
-use crate::spec::BatchSpec;
+use crate::repair::{keep_valid, repair_op, RepairKit};
 use crate::update::UpdateOp;
 
 /// Configuration of the update-stream engine.
@@ -281,13 +284,77 @@ impl RebuildKit {
     }
 }
 
-/// The shared state and sequential commit path of every dynamic engine:
-/// the live graph, the maintained matching, the sequential repair kit,
-/// the rebuild machinery, and the lifetime counters. [`DynamicMatcher`]
-/// is a thin wrapper over one of these; the sharded engine's commit
-/// fallback and inline path run the very same methods — which is what
-/// makes "bit-identical to sequential" hold by construction rather than
-/// by re-implementation.
+/// When the engine runs the bounded-augmentation repair — a scheduling
+/// choice in the sense of Angriman et al. (arXiv 2104.13098). Every
+/// policy runs the same structural change, the same op-validity rule (so
+/// the matching is *valid* after every update, never backed by a dead
+/// edge), and the same ball-local repair kernel; they differ only in how
+/// much repair an update pays for and when. Once
+/// [`DynamicMatcher::flush`] has run, every policy certifies the same
+/// Fact 1.3 floor.
+///
+/// Set with [`DynamicMatcher::with_policy`]. The sharded engine has no
+/// policy: its speculation runs only the eager repair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RepairPolicy {
+    /// Repair every update to the full invariant before returning: the
+    /// floor holds after every update. The engine's default.
+    Eager,
+    /// At most this many augmentations per update (clamped to ≥ 1). When
+    /// the budget runs out before the invariant is certified, the
+    /// unsettled dirty vertices are carried into the next update's repair
+    /// (and re-seeded there), so the engine keeps converging without ever
+    /// spending more than a bounded amount of search on one op. The floor
+    /// is deferred, not abandoned: a flush drains the carry with an
+    /// unbudgeted fix-up. On calm streams the budget is rarely hit and
+    /// the engine behaves eagerly; under churn storms it degrades
+    /// smoothly instead of stalling on one hot ball.
+    ///
+    /// ```
+    /// use wmatch_dynamic::{DynamicConfig, DynamicMatcher, RepairPolicy, UpdateOp};
+    ///
+    /// let mut eng =
+    ///     DynamicMatcher::new(4, DynamicConfig::default()).with_policy(RepairPolicy::Budget(2));
+    /// eng.apply(UpdateOp::insert(0, 1, 5)).unwrap();
+    /// eng.apply(UpdateOp::insert(1, 2, 9)).unwrap();
+    /// eng.flush(); // settle any carried repair debt
+    /// assert_eq!(eng.matching().weight(), 9);
+    /// ```
+    Budget(usize),
+    /// Defer repairs: an update performs only the structural change and
+    /// the validity rule, and its endpoints join the pending set; once
+    /// this many updates (clamped to ≥ 1) are pending, one batched fix-up
+    /// restores the invariant over everything they touched. Per-op cost
+    /// drops to the structural update, and the floor holds at flush
+    /// boundaries rather than after every op.
+    ///
+    /// Within one window, deferred updates on **pairwise disjoint vertex
+    /// sets** commute: their structural changes land in adjacency lists
+    /// no other op reads, and the flush canonicalises its seed set
+    /// (sorted, deduplicated) before searching, so permuting them yields
+    /// a bit-identical post-flush matching. Ops sharing a vertex do not
+    /// commute (per-vertex adjacency order is insertion order).
+    ///
+    /// ```
+    /// use wmatch_dynamic::{DynamicConfig, DynamicMatcher, RepairPolicy, UpdateOp};
+    ///
+    /// let mut eng =
+    ///     DynamicMatcher::new(4, DynamicConfig::default()).with_policy(RepairPolicy::Window(2));
+    /// eng.apply(UpdateOp::insert(0, 1, 5)).unwrap();
+    /// assert_eq!(eng.matching().weight(), 0); // deferred: nothing matched yet
+    /// eng.apply(UpdateOp::insert(2, 3, 7)).unwrap(); // second op fills the window
+    /// assert_eq!(eng.matching().weight(), 12); // flushed: both matched
+    /// ```
+    Window(usize),
+}
+
+/// The shared state and the one per-op path of every dynamic engine: the
+/// live graph, the maintained matching, the sequential repair kit, the
+/// pending-dirty set of deferred repairs, the rebuild machinery, and the
+/// lifetime counters. [`DynamicMatcher`] is a thin wrapper over one of
+/// these; the sharded engine's commit fallback, inline path and degraded
+/// mode run the very same methods — which is what makes "bit-identical
+/// to sequential" hold by construction rather than by re-implementation.
 #[derive(Debug)]
 pub(crate) struct EngineCore {
     pub g: DynGraph,
@@ -306,13 +373,18 @@ pub(crate) struct EngineCore {
     /// Deterministic fault injector, test/chaos-bench only (`None` in
     /// production). Installed via `ShardedMatcher::install_chaos`.
     pub chaos: Option<Box<ChaosInjector>>,
-    /// Vertices touched by deferred (lazy-mode) updates whose repairs
-    /// have not run yet — drained by [`EngineCore::flush_repairs`].
-    pub stale_dirty: Vec<Vertex>,
-    /// Deferred updates applied since the last flush. While non-zero the
+    /// Vertices whose repair was deferred — by a deferred update or by a
+    /// budget that ran out — drained by [`EngineCore::flush`] or settled
+    /// by a rebuild epoch.
+    pub pending: Vec<Vertex>,
+    /// Deferred updates since the last flush. While non-zero the
     /// bounded-augmentation invariant is deliberately stale, and the
     /// sentinel's floor spot-check must be skipped.
-    pub stale_ops: usize,
+    pub pending_ops: usize,
+    /// Flushes that settled a non-empty pending set.
+    pub flushes: u64,
+    /// Budgeted updates whose repair ran out of budget before certifying.
+    pub exhausted_updates: u64,
 }
 
 impl EngineCore {
@@ -328,37 +400,53 @@ impl EngineCore {
             updates_since_rebuild: 0,
             write_buf: Vec::new(),
             chaos: None,
-            stale_dirty: Vec::new(),
-            stale_ops: 0,
+            pending: Vec::new(),
+            pending_ops: 0,
+            flushes: 0,
+            exhausted_updates: 0,
         }
     }
 
-    /// Structural change + local repair + recourse accounting for one op.
-    /// Fills [`EngineCore::write_buf`] and leaves the lifetime counters
-    /// untouched (see [`EngineCore::finish`]).
-    pub fn repair_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
-        let mut stats = UpdateStats::default();
+    /// One update under `policy`: structural change, validity rule, then
+    /// the repair the policy pays for now, counters, and the rebuild
+    /// epoch if one is due.
+    pub fn apply(
+        &mut self,
+        op: UpdateOp,
+        policy: RepairPolicy,
+    ) -> Result<UpdateStats, DynamicError> {
+        match policy {
+            RepairPolicy::Eager => self.apply_one(op),
+            RepairPolicy::Budget(budget) => self.apply_budgeted(op, budget),
+            RepairPolicy::Window(bound) => {
+                let mut stats = self.defer_one(op)?;
+                if self.pending_ops >= bound {
+                    let fs = self.flush();
+                    stats.gain += fs.gain;
+                    stats.recourse += fs.recourse;
+                    stats.augmentations += fs.augmentations;
+                    stats.rebuilt |= fs.rebuilt;
+                }
+                Ok(stats)
+            }
+        }
+    }
+
+    /// The structural change of `op` plus the op-validity rule, as a
+    /// fresh journalled update. Returns the weight change.
+    fn change(&mut self, op: UpdateOp) -> Result<i128, DynamicError> {
         self.kit.begin_update();
-        let fix = match op {
-            UpdateOp::Insert { u, v, weight } => {
-                self.g.insert(u, v, weight)?;
-                repair_insert(
-                    &mut self.kit,
-                    &self.g,
-                    &mut self.m,
-                    u,
-                    v,
-                    weight,
-                    self.cfg.max_len,
-                )
-            }
-            UpdateOp::Delete { u, v } => {
-                self.g.delete(u, v)?;
-                repair_delete(&mut self.kit, &self.g, &mut self.m, u, v, self.cfg.max_len)
-            }
-        };
-        stats.gain = fix.gain;
-        stats.augmentations = fix.augmentations;
+        self.g.apply(op)?;
+        Ok(keep_valid(&mut self.kit, &self.g, &mut self.m, op).unwrap_or(0))
+    }
+
+    /// Structural change + eager local repair + recourse accounting for
+    /// one op. Fills [`EngineCore::write_buf`] and leaves the lifetime
+    /// counters untouched (see [`EngineCore::finish`]).
+    pub fn repair_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
+        self.kit.begin_update();
+        self.g.apply(op)?;
+        let fix = repair_op(&mut self.kit, &self.g, &mut self.m, op, self.cfg.max_len);
         // write set is read off the journal *before* net_recourse drains it
         let (u, v) = op.endpoints();
         self.write_buf.clear();
@@ -368,8 +456,12 @@ impl EngineCore {
         }
         // net recourse of this update's own repairs, before any epoch
         // (which reports its churn as a whole-matching diff instead)
-        stats.recourse = self.kit.net_recourse();
-        Ok(stats)
+        Ok(UpdateStats {
+            gain: fix.gain,
+            recourse: self.kit.net_recourse(),
+            augmentations: fix.augmentations,
+            rebuilt: false,
+        })
     }
 
     /// Counts one applied update and runs the rebuild epoch if due,
@@ -380,113 +472,123 @@ impl EngineCore {
         self.counters.updates_applied += 1;
         self.counters.augmentations_applied += stats.augmentations;
         self.updates_since_rebuild += 1;
-        if self.cfg.rebuild_threshold > 0
-            && self.updates_since_rebuild >= self.cfg.rebuild_threshold
-        {
-            self.counters.rebuilds += 1;
-            self.updates_since_rebuild = 0;
-            let (rebuild_recourse, gain, augs) = run_rebuild_epoch(
-                &self.g,
-                &mut self.m,
-                &self.cfg,
-                &mut self.pool,
-                &mut self.kit,
-                &mut self.rebuild,
-                self.counters.rebuilds,
-            );
-            self.counters.augmentations_applied += augs;
-            stats.recourse += rebuild_recourse;
-            stats.gain += gain;
-            stats.rebuilt = true;
-        }
+        self.rebuild_if_due(stats);
         self.counters.recourse_total += stats.recourse;
     }
 
-    /// One fully-sequential update: repair + counters + rebuild check.
+    /// One fully-sequential eager update: repair + counters + rebuild
+    /// check.
     pub fn apply_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
         let mut stats = self.repair_one(op)?;
         self.finish(&mut stats);
         Ok(stats)
     }
 
-    /// One **deferred** update: structural change and dead-match cleanup
-    /// only, no repair. The op endpoints join
-    /// [`EngineCore::stale_dirty`]; the bounded-augmentation invariant is
-    /// restored in one batched sweep by [`EngineCore::flush_repairs`].
-    /// This is the degraded serve mode's tolerate-ε-staleness path: under
-    /// a fault storm the per-op cost drops to the structural update while
-    /// the matching stays *valid* (never backed by a dead edge), just
-    /// temporarily uncertified.
-    pub fn apply_lazy_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
-        let mut stats = UpdateStats::default();
-        match op {
-            UpdateOp::Insert { u, v, weight } => {
-                self.g.insert(u, v, weight)?;
-            }
-            UpdateOp::Delete { u, v } => {
-                self.g.delete(u, v)?;
-                // the matched copy may be the one that just died: drop it
-                // now (deferring *this* would leave the matching invalid,
-                // not merely stale)
-                let lost = match self.m.matched_edge(u) {
-                    Some(me) => me.other(u) == v && !self.g.has_live_copy(u, v, me.weight),
-                    None => false,
-                };
-                if lost {
-                    let removed = self.m.remove_pair(u, v).expect("edge was matched");
-                    stats.gain -= removed.weight as i128;
-                    stats.recourse = 1;
-                }
-            }
-        }
+    /// One update under a work budget: the validity rule, then at most
+    /// `budget` augmentations seeded at the endpoints plus everything
+    /// pending. If the budget runs out before the invariant is certified,
+    /// the unsettled dirty vertices stay pending and seed the next
+    /// update's repair (or the flush).
+    fn apply_budgeted(&mut self, op: UpdateOp, budget: usize) -> Result<UpdateStats, DynamicError> {
+        let gain = self.change(op)?;
         let (u, v) = op.endpoints();
-        self.stale_dirty.extend([u, v]);
-        self.stale_ops += 1;
+        self.kit.dirty.clear();
+        self.kit.dirty.append(&mut self.pending);
+        self.kit.dirty.extend([u, v]);
+        let (fix, exhausted) =
+            self.kit
+                .fix_up_budgeted(&self.g, &mut self.m, self.cfg.max_len, budget);
+        if exhausted {
+            self.exhausted_updates += 1;
+            self.pending.append(&mut self.kit.dirty);
+            self.pending.sort_unstable();
+            self.pending.dedup();
+        }
+        let mut stats = UpdateStats {
+            gain: gain + fix.gain,
+            recourse: self.kit.net_recourse(),
+            augmentations: fix.augmentations,
+            rebuilt: false,
+        };
+        self.finish(&mut stats);
+        Ok(stats)
+    }
+
+    /// One **deferred** update: the structural change and the validity
+    /// rule only, no repair. The op endpoints join
+    /// [`EngineCore::pending`]; the bounded-augmentation invariant is
+    /// restored in one batched sweep by [`EngineCore::flush`]. This is
+    /// both the `Window` policy and the degraded serve mode's
+    /// tolerate-ε-staleness path: the per-op cost drops to the structural
+    /// update while the matching stays valid, just temporarily
+    /// uncertified.
+    pub fn defer_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
+        let gain = self.change(op)?;
+        let stats = UpdateStats {
+            gain,
+            recourse: self.kit.net_recourse(),
+            ..UpdateStats::default()
+        };
+        let (u, v) = op.endpoints();
+        self.pending.extend([u, v]);
+        self.pending_ops += 1;
         self.counters.updates_applied += 1;
         self.counters.recourse_total += stats.recourse;
         self.updates_since_rebuild += 1;
         Ok(stats)
     }
 
-    /// Repairs everything the deferred updates left stale: one fix-up
-    /// sweep over the accumulated dirty set, then a rebuild epoch if one
-    /// came due while deferring. Returns the aggregate churn of the
-    /// flush; a no-op (and allocation-free) when nothing is deferred.
-    pub fn flush_repairs(&mut self) -> UpdateStats {
+    /// Repairs everything left pending: one fix-up sweep over the pending
+    /// set, then a rebuild epoch if one came due while deferring. Returns
+    /// the aggregate churn of the flush; a no-op (and allocation-free)
+    /// when nothing is pending.
+    pub fn flush(&mut self) -> UpdateStats {
         let mut stats = UpdateStats::default();
-        if self.stale_ops == 0 {
+        if self.pending.is_empty() {
             return stats;
         }
+        self.flushes += 1;
         self.kit.begin_update();
         self.kit.dirty.clear();
-        self.kit.dirty.append(&mut self.stale_dirty);
+        self.kit.dirty.append(&mut self.pending);
         let fix = self.kit.fix_up(&self.g, &mut self.m, self.cfg.max_len);
         stats.gain = fix.gain;
         stats.augmentations = fix.augmentations;
         stats.recourse = self.kit.net_recourse();
         self.counters.augmentations_applied += stats.augmentations;
-        self.stale_ops = 0;
-        if self.cfg.rebuild_threshold > 0
-            && self.updates_since_rebuild >= self.cfg.rebuild_threshold
-        {
-            self.counters.rebuilds += 1;
-            self.updates_since_rebuild = 0;
-            let (rebuild_recourse, gain, augs) = run_rebuild_epoch(
-                &self.g,
-                &mut self.m,
-                &self.cfg,
-                &mut self.pool,
-                &mut self.kit,
-                &mut self.rebuild,
-                self.counters.rebuilds,
-            );
-            self.counters.augmentations_applied += augs;
-            stats.recourse += rebuild_recourse;
-            stats.gain += gain;
-            stats.rebuilt = true;
-        }
+        self.pending_ops = 0;
+        self.rebuild_if_due(&mut stats);
         self.counters.recourse_total += stats.recourse;
         stats
+    }
+
+    /// Runs the rebuild epoch once `rebuild_threshold` updates have been
+    /// applied since the last one, folding its churn into `stats`. The
+    /// epoch ends with a global invariant restore, so it also settles
+    /// anything pending.
+    fn rebuild_if_due(&mut self, stats: &mut UpdateStats) {
+        if self.cfg.rebuild_threshold == 0
+            || self.updates_since_rebuild < self.cfg.rebuild_threshold
+        {
+            return;
+        }
+        self.counters.rebuilds += 1;
+        self.updates_since_rebuild = 0;
+        let (rebuild_recourse, gain, augs) = run_rebuild_epoch(
+            &self.g,
+            &mut self.m,
+            &self.cfg,
+            &mut self.pool,
+            &mut self.kit,
+            &mut self.rebuild,
+            self.counters.rebuilds,
+        );
+        self.counters.augmentations_applied += augs;
+        stats.recourse += rebuild_recourse;
+        stats.gain += gain;
+        stats.rebuilt = true;
+        self.pending.clear();
+        self.pending_ops = 0;
     }
 
     pub fn scratch_high_water(&self) -> usize {
@@ -498,9 +600,9 @@ impl EngineCore {
 }
 
 /// The uniform surface of every dynamic engine in the crate — the
-/// incremental repairer, the recompute baseline, the sharded engine, and
-/// the competitor solvers ([`RandomWalkMatcher`](crate::RandomWalkMatcher),
-/// [`LazyMatcher`](crate::LazyMatcher), [`StaleMatcher`](crate::StaleMatcher)).
+/// incremental repairer under any [`RepairPolicy`], the recompute
+/// baseline, the sharded engine, and the random-walk competitor
+/// ([`RandomWalkMatcher`](crate::RandomWalkMatcher)).
 ///
 /// The trait is what lets the cross-engine agreement suites and the
 /// shootout bench drive every engine through one loop: apply a stream,
@@ -537,11 +639,44 @@ pub trait UpdateEngine {
     /// once [`UpdateEngine::flush`] has run (for eager engines: after
     /// every update).
     fn declared_floor(&self) -> f64;
+
+    /// Settles any deferred repairs, then re-certifies the live graph
+    /// through `cert` (warm from the previous checkpoint) and measures the
+    /// maintained matching against the exact optimum. The flush is what
+    /// makes the ratio comparable with [`UpdateEngine::declared_floor`];
+    /// with nothing deferred it is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError`] if the live graph does not fit the certifier's
+    /// bipartition.
+    fn certify_checkpoint(
+        &mut self,
+        cert: &mut IncrementalCertifier,
+    ) -> Result<CheckpointCertificate, OracleError> {
+        self.flush();
+        let optimum = cert.certify(&self.graph().snapshot())?.optimum;
+        let engine_weight = self.matching().weight();
+        let ratio = if optimum == 0 {
+            1.0
+        } else {
+            engine_weight as f64 / optimum as f64
+        };
+        Ok(CheckpointCertificate {
+            optimum,
+            engine_weight,
+            ratio,
+        })
+    }
 }
 
 impl UpdateEngine for DynamicMatcher {
     fn apply(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
         DynamicMatcher::apply(self, op)
+    }
+
+    fn flush(&mut self) -> UpdateStats {
+        DynamicMatcher::flush(self)
     }
 
     fn matching(&self) -> &Matching {
@@ -586,7 +721,8 @@ impl UpdateEngine for RecomputeBaseline {
 }
 
 /// The fully-dynamic matching engine. See the [module docs](self) for the
-/// invariant and the repair strategy.
+/// invariant and the repair strategy, and [`RepairPolicy`] for when the
+/// repair runs (eagerly, by default).
 ///
 /// # Example
 ///
@@ -605,21 +741,19 @@ impl UpdateEngine for RecomputeBaseline {
 #[derive(Debug)]
 pub struct DynamicMatcher {
     core: EngineCore,
-    /// Lazily-built batch speculation machinery for
-    /// [`DynamicMatcher::apply_batch`] (one global ball-overlap "shard").
-    spec: Option<Box<BatchSpec>>,
+    policy: RepairPolicy,
 }
 
 impl DynamicMatcher {
-    /// An engine over an initially edgeless graph on `n` vertices.
+    /// An eager engine over an initially edgeless graph on `n` vertices.
     pub fn new(n: usize, cfg: DynamicConfig) -> Self {
         DynamicMatcher {
             core: EngineCore::new(n, cfg),
-            spec: None,
+            policy: RepairPolicy::Eager,
         }
     }
 
-    /// An engine seeded with an initial graph: the edges are loaded
+    /// An eager engine seeded with an initial graph: the edges are loaded
     /// structurally and the matching is bootstrapped to the invariant
     /// with [`static_bounded_matching`] (this initial construction does
     /// not count towards the update/recourse counters).
@@ -635,12 +769,29 @@ impl DynamicMatcher {
         Ok(eng)
     }
 
+    /// Sets the repair policy; a `Budget` or `Window` of 0 is clamped to 1.
+    pub fn with_policy(mut self, policy: RepairPolicy) -> Self {
+        self.policy = match policy {
+            RepairPolicy::Eager => RepairPolicy::Eager,
+            RepairPolicy::Budget(budget) => RepairPolicy::Budget(budget.max(1)),
+            RepairPolicy::Window(bound) => RepairPolicy::Window(bound.max(1)),
+        };
+        self
+    }
+
     /// The engine's configuration.
     pub fn config(&self) -> &DynamicConfig {
         &self.core.cfg
     }
 
-    /// The maintained matching.
+    /// The engine's repair policy.
+    pub fn policy(&self) -> RepairPolicy {
+        self.policy
+    }
+
+    /// The maintained matching (always valid; certified to the Fact 1.3
+    /// floor after every update under [`RepairPolicy::Eager`], otherwise
+    /// once [`DynamicMatcher::flush`] has run).
     pub fn matching(&self) -> &Matching {
         &self.core.m
     }
@@ -664,19 +815,49 @@ impl DynamicMatcher {
     /// The largest dense scratch footprint the repair path has used —
     /// the same `scratch_high_water` measure the static solvers report.
     pub fn scratch_high_water(&self) -> usize {
-        self.core
-            .scratch_high_water()
-            .max(self.spec.as_ref().map_or(0, |s| s.scratch_high_water()))
+        self.core.scratch_high_water()
     }
 
-    /// Applies one update and repairs the matching.
+    /// Dirty vertices whose repair is pending (0 ⇔ the invariant is
+    /// certified; always 0 under [`RepairPolicy::Eager`]).
+    pub fn pending_len(&self) -> usize {
+        self.core.pending.len()
+    }
+
+    /// Updates deferred since the last flush under
+    /// [`RepairPolicy::Window`] (0 right after a flush).
+    pub fn pending_ops(&self) -> usize {
+        self.core.pending_ops
+    }
+
+    /// Flushes that settled pending repairs (automatic or explicit).
+    pub fn flushes(&self) -> u64 {
+        self.core.flushes
+    }
+
+    /// Updates whose repair ran out of its [`RepairPolicy::Budget`]
+    /// before certifying.
+    pub fn exhausted_updates(&self) -> u64 {
+        self.core.exhausted_updates
+    }
+
+    /// Applies one update and repairs the matching as the policy says.
     ///
     /// # Errors
     ///
     /// A [`DynamicError`] for malformed operations (bad endpoints, zero
-    /// weight, deleting a non-live edge); the engine is unchanged.
+    /// weight, deleting a non-live edge); the engine — pending repairs
+    /// included — is unchanged and nothing is counted.
     pub fn apply(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
-        self.core.apply_one(op)
+        self.core.apply(op, self.policy)
+    }
+
+    /// Settles any pending repairs now (one unbudgeted fix-up sweep, plus
+    /// a rebuild epoch if one came due while deferring), re-certifying
+    /// the bounded-augmentation invariant. A no-op when nothing is
+    /// pending — always under [`RepairPolicy::Eager`].
+    pub fn flush(&mut self) -> UpdateStats {
+        self.core.flush()
     }
 
     /// Applies a whole update sequence, stopping at the first malformed
@@ -703,27 +884,6 @@ impl DynamicMatcher {
             }
         }
         Ok(out)
-    }
-
-    /// Applies one batch through the **parallel ball-repair path**: the
-    /// batch's ops are grouped by ball overlap (union-find on touched
-    /// endpoints), disjoint groups speculate their repairs concurrently on
-    /// the engine's pool, and a sequential commit replays the plans in
-    /// stream order — bit-identical to [`DynamicMatcher::apply_all`] for
-    /// any thread count and batch size. With one worker
-    /// (`threads = 1`, the default) this *is* `apply_all`: the grouping
-    /// and speculation layers cost nothing.
-    ///
-    /// # Errors
-    ///
-    /// A [`BatchError`] at the first malformed op, exactly as
-    /// [`DynamicMatcher::apply_all`].
-    pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<BatchStats, BatchError> {
-        let workers = self.core.pool.workers();
-        let spec = self
-            .spec
-            .get_or_insert_with(|| Box::new(BatchSpec::new(1, workers)));
-        spec.apply_batch(&mut self.core, ops, None)
     }
 }
 
@@ -927,14 +1087,7 @@ impl RecomputeBaseline {
     ///
     /// A [`DynamicError`] for malformed operations (state unchanged).
     pub fn apply(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
-        match op {
-            UpdateOp::Insert { u, v, weight } => {
-                self.g.insert(u, v, weight)?;
-            }
-            UpdateOp::Delete { u, v } => {
-                self.g.delete(u, v)?;
-            }
-        }
+        self.g.apply(op)?;
         let fresh = static_bounded_matching(&self.g.snapshot(), self.max_len, &mut self.searcher);
         let before: HashSet<((Vertex, Vertex), u64)> =
             self.m.iter().map(|e| (e.key(), e.weight)).collect();
@@ -1278,6 +1431,223 @@ mod tests {
         assert!(matches!(err.source, DynamicError::EdgeNotFound { .. }));
         assert_eq!(eng.counters().updates_applied, 5);
         assert!(err.to_string().contains("2 updates applied"), "{err}");
+    }
+
+    fn with_policy(n: usize, policy: RepairPolicy) -> DynamicMatcher {
+        DynamicMatcher::new(n, DynamicConfig::default()).with_policy(policy)
+    }
+
+    #[test]
+    fn budget_defers_the_long_swap() {
+        // growing the 4-6-4 path takes a 3-edge swap after the outer
+        // inserts; budget 1 per op still converges because the carry
+        // re-seeds — then flush certifies
+        let mut eng = with_policy(4, RepairPolicy::Budget(1));
+        eng.apply(UpdateOp::insert(1, 2, 6)).unwrap();
+        eng.apply(UpdateOp::insert(0, 1, 4)).unwrap();
+        eng.apply(UpdateOp::insert(2, 3, 4)).unwrap();
+        eng.flush();
+        assert_eq!(eng.matching().weight(), 8, "outer pair after settling");
+        let snap = eng.graph().snapshot();
+        assert!(best_augmentation(&snap, eng.matching(), 3).is_none());
+    }
+
+    #[test]
+    fn generous_budget_matches_eager_engine() {
+        // a budget no stream exhausts makes the budgeted engine the eager
+        // engine, bit for bit
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut lazy = with_policy(10, RepairPolicy::Budget(usize::MAX));
+        let mut eager = DynamicMatcher::new(10, DynamicConfig::default());
+        let mut live: Vec<(u32, u32)> = Vec::new();
+        for _ in 0..160 {
+            let op = if !live.is_empty() && rng.gen_range(0..3) == 0 {
+                let i = rng.gen_range(0..live.len());
+                let (u, v) = live.swap_remove(i);
+                UpdateOp::delete(u, v)
+            } else {
+                let u = rng.gen_range(0..10u32);
+                let mut v = rng.gen_range(0..10u32);
+                if v == u {
+                    v = (v + 1) % 10;
+                }
+                live.push((u, v));
+                UpdateOp::insert(u, v, rng.gen_range(1..30u64))
+            };
+            let sl = lazy.apply(op).unwrap();
+            let se = eager.apply(op).unwrap();
+            assert_eq!(sl, se);
+        }
+        assert_eq!(lazy.matching().to_edges(), eager.matching().to_edges());
+        assert_eq!(lazy.exhausted_updates(), 0);
+        assert_eq!(lazy.pending_len(), 0);
+    }
+
+    #[test]
+    fn tight_budget_converges_after_flush() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let cfg = DynamicConfig::default();
+        let mut eng = DynamicMatcher::new(14, cfg).with_policy(RepairPolicy::Budget(1));
+        let mut live: Vec<(u32, u32)> = Vec::new();
+        for _ in 0..220 {
+            let op = if !live.is_empty() && rng.gen_range(0..3) == 0 {
+                let i = rng.gen_range(0..live.len());
+                let (u, v) = live.swap_remove(i);
+                UpdateOp::delete(u, v)
+            } else {
+                let u = rng.gen_range(0..14u32);
+                let mut v = rng.gen_range(0..14u32);
+                if v == u {
+                    v = (v + 1) % 14;
+                }
+                live.push((u, v));
+                UpdateOp::insert(u, v, rng.gen_range(1..40u64))
+            };
+            eng.apply(op).unwrap();
+            // valid at every point, certified only after flush
+            eng.matching()
+                .validate(Some(&eng.graph().snapshot()))
+                .expect("matching stays valid under the budget");
+        }
+        eng.flush();
+        assert_eq!(eng.pending_len(), 0);
+        let snap = eng.graph().snapshot();
+        assert!(
+            best_augmentation(&snap, eng.matching(), cfg.max_len).is_none(),
+            "flush certifies the full invariant"
+        );
+        assert_eq!(eng.counters().updates_applied, 220);
+    }
+
+    #[test]
+    fn malformed_ops_leave_carry_untouched() {
+        let mut eng = with_policy(2, RepairPolicy::Budget(1));
+        eng.apply(UpdateOp::insert(0, 1, 5)).unwrap();
+        let carry_before = eng.pending_len();
+        assert!(eng.apply(UpdateOp::insert(0, 9, 1)).is_err());
+        assert_eq!(
+            eng.pending_len(),
+            carry_before,
+            "failed op must not touch carry"
+        );
+        assert!(eng.apply(UpdateOp::delete(1, 0)).is_ok());
+        let carry_after = eng.pending_len();
+        assert!(eng.apply(UpdateOp::delete(1, 0)).is_err());
+        assert_eq!(
+            eng.pending_len(),
+            carry_after,
+            "failed op must not touch carry"
+        );
+        assert_eq!(eng.counters().updates_applied, 2);
+    }
+
+    #[test]
+    fn defers_until_the_bound_then_flushes() {
+        let mut eng = with_policy(6, RepairPolicy::Window(3));
+        eng.apply(UpdateOp::insert(0, 1, 5)).unwrap();
+        eng.apply(UpdateOp::insert(2, 3, 4)).unwrap();
+        assert_eq!(eng.matching().weight(), 0);
+        assert_eq!(eng.pending_ops(), 2);
+        let s = eng.apply(UpdateOp::insert(4, 5, 3)).unwrap();
+        assert_eq!(eng.matching().weight(), 12, "third op triggered the flush");
+        assert_eq!(eng.pending_ops(), 0);
+        assert_eq!(eng.flushes(), 1);
+        assert!(s.recourse >= 3);
+    }
+
+    #[test]
+    fn deleted_matched_edge_is_dropped_immediately() {
+        // validity is never deferred: deleting the matched copy must
+        // unmatch it on the spot, even mid-window
+        let mut eng = with_policy(4, RepairPolicy::Window(10));
+        eng.apply(UpdateOp::insert(0, 1, 5)).unwrap();
+        eng.flush();
+        assert_eq!(eng.matching().weight(), 5);
+        eng.apply(UpdateOp::delete(0, 1)).unwrap();
+        assert_eq!(eng.matching().weight(), 0);
+        eng.matching()
+            .validate(Some(&eng.graph().snapshot()))
+            .expect("matching stays valid mid-window");
+    }
+
+    #[test]
+    fn deferred_insert_upgrades_a_heavier_parallel_copy() {
+        // validity is never deferred for inserts either: a heavier copy of
+        // a matched pair must be swapped in on the spot — no later flush
+        // can express that upgrade as an augmentation
+        for policy in [RepairPolicy::Window(1), RepairPolicy::Window(10)] {
+            let mut eng = with_policy(2, policy);
+            eng.apply(UpdateOp::insert(0, 1, 1)).unwrap();
+            eng.flush();
+            let s = eng.apply(UpdateOp::insert(0, 1, 100)).unwrap();
+            assert_eq!(s.gain, 99, "{policy:?}");
+            assert_eq!(s.recourse, 2, "{policy:?}: light copy out, heavy in");
+            eng.flush();
+            assert_eq!(eng.matching().weight(), 100, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn flushed_state_matches_eager_engine_invariant() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let cfg = DynamicConfig::default();
+        let mut eng = DynamicMatcher::new(12, cfg).with_policy(RepairPolicy::Window(7));
+        for _ in 0..140 {
+            let u = rng.gen_range(0..12u32);
+            let mut v = rng.gen_range(0..12u32);
+            if v == u {
+                v = (v + 1) % 12;
+            }
+            eng.apply(UpdateOp::insert(u, v, rng.gen_range(1..30u64)))
+                .unwrap();
+        }
+        eng.flush();
+        let snap = eng.graph().snapshot();
+        eng.matching().validate(Some(&snap)).expect("valid");
+        assert!(
+            best_augmentation(&snap, eng.matching(), cfg.max_len).is_none(),
+            "flush must restore the bounded-augmentation invariant"
+        );
+        assert_eq!(eng.counters().updates_applied, 140);
+    }
+
+    #[test]
+    fn bound_one_is_the_eager_engine_on_disjoint_streams() {
+        // with a window of 1 every op flushes immediately; on a stream the
+        // eager engine handles identically, weights agree
+        let mut stale = with_policy(8, RepairPolicy::Window(1));
+        let mut eager = DynamicMatcher::new(8, DynamicConfig::default());
+        let ops = [
+            UpdateOp::insert(0, 1, 5),
+            UpdateOp::insert(2, 3, 7),
+            UpdateOp::insert(1, 2, 9),
+            UpdateOp::delete(0, 1),
+        ];
+        for &op in &ops {
+            stale.apply(op).unwrap();
+            eager.apply(op).unwrap();
+        }
+        assert_eq!(
+            stale.matching().to_edges(),
+            eager.matching().to_edges(),
+            "bound 1 repairs after every op, like the eager engine"
+        );
+    }
+
+    #[test]
+    fn policy_sizes_clamp_to_one() {
+        assert_eq!(
+            with_policy(2, RepairPolicy::Budget(0)).policy(),
+            RepairPolicy::Budget(1)
+        );
+        assert_eq!(
+            with_policy(2, RepairPolicy::Window(0)).policy(),
+            RepairPolicy::Window(1)
+        );
+        assert_eq!(
+            DynamicMatcher::new(2, DynamicConfig::default()).policy(),
+            RepairPolicy::Eager
+        );
     }
 
     #[test]

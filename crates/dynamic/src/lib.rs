@@ -23,6 +23,17 @@
 //! on, so the dynamic and static notions of "no short augmentation" agree
 //! by construction.
 //!
+//! *When* the repair runs is the engine's [`RepairPolicy`]: eagerly after
+//! every update (the default), under a per-update augmentation budget
+//! whose leftover carries forward, or deferred over a window of updates
+//! and flushed in one batch. Every policy keeps the matching valid after
+//! every update through one op-validity rule (swap in a heavier parallel
+//! copy, drop a dead matched copy) and certifies the same floor once
+//! flushed. The [`UpdateEngine`] trait puts every engine in the crate —
+//! the policies, the [`ShardedMatcher`], the [`RandomWalkMatcher`]
+//! competitor and the [`RecomputeBaseline`] — behind one surface, with
+//! one provided [`UpdateEngine::certify_checkpoint`].
+//!
 //! For batched update epochs, the engine periodically runs a *rebuild*:
 //! one or more rounds of Algorithm 3's weight-class sweep
 //! ([`wmatch_core::main_alg::improve_matching_offline_pooled`]) on the
@@ -54,12 +65,10 @@ pub mod degraded;
 pub mod dyngraph;
 pub mod engine;
 pub mod error;
-pub mod lazy;
 pub mod randomwalk;
 mod repair;
 pub mod sharded;
 mod spec;
-pub mod stale;
 pub mod update;
 pub mod wal;
 
@@ -69,12 +78,10 @@ pub use degraded::{DegradedStats, RetryPolicy, ServeDriver};
 pub use dyngraph::DynGraph;
 pub use engine::{
     static_bounded_matching, BatchError, BatchStats, DynamicConfig, DynamicCounters,
-    DynamicMatcher, RecomputeBaseline, UpdateEngine, UpdateStats,
+    DynamicMatcher, RecomputeBaseline, RepairPolicy, UpdateEngine, UpdateStats,
 };
 pub use error::DynamicError;
-pub use lazy::LazyMatcher;
 pub use randomwalk::{RandomWalkConfig, RandomWalkMatcher};
 pub use sharded::ShardedMatcher;
-pub use stale::StaleMatcher;
 pub use update::UpdateOp;
 pub use wal::{RecoveryReport, WalConfig};

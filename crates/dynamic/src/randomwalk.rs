@@ -42,7 +42,7 @@ use wmatch_graph::{Edge, Graph, Matching, Vertex};
 use crate::dyngraph::DynGraph;
 use crate::engine::{DynamicCounters, UpdateEngine, UpdateStats};
 use crate::error::DynamicError;
-use crate::repair::{FixOutcome, RepairKit};
+use crate::repair::{keep_valid, FixOutcome, RepairKit};
 use crate::update::UpdateOp;
 
 /// Configuration of the random-walk engine: walk shape and seed.
@@ -222,35 +222,8 @@ impl RandomWalkMatcher {
     pub fn apply(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
         let mut stats = UpdateStats::default();
         self.kit.begin_update();
-        match op {
-            UpdateOp::Insert { u, v, weight } => {
-                self.g.insert(u, v, weight)?;
-                // parallel upgrade: a heavier copy of an already-matched
-                // pair cannot be expressed as an augmentation — swap it in
-                if let Some(me) = self.m.matched_edge(u) {
-                    if me.other(u) == v && weight > me.weight {
-                        let old = self.m.remove_pair(u, v).expect("edge was matched");
-                        self.kit.journal.push((old, false));
-                        let new = Edge::new(u, v, weight);
-                        self.m.insert(new).expect("endpoints just freed");
-                        self.kit.journal.push((new, true));
-                        stats.gain += weight as i128 - old.weight as i128;
-                    }
-                }
-            }
-            UpdateOp::Delete { u, v } => {
-                self.g.delete(u, v)?;
-                let lost = match self.m.matched_edge(u) {
-                    Some(me) => me.other(u) == v && !self.g.has_live_copy(u, v, me.weight),
-                    None => false,
-                };
-                if lost {
-                    let removed = self.m.remove_pair(u, v).expect("edge was matched");
-                    self.kit.journal.push((removed, false));
-                    stats.gain -= removed.weight as i128;
-                }
-            }
-        }
+        self.g.apply(op)?;
+        stats.gain = keep_valid(&mut self.kit, &self.g, &mut self.m, op).unwrap_or(0);
         let (u, v) = op.endpoints();
         // dominance-sweep seeds: the touched endpoints plus (below)
         // everything an applied walk changed

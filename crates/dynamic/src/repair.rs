@@ -29,6 +29,7 @@ use wmatch_graph::scratch::EpochSet;
 use wmatch_graph::{Edge, Graph, Matching, Scratch, Vertex};
 
 use crate::dyngraph::DynGraph;
+use crate::update::UpdateOp;
 
 /// Incidence reads the repair ball needs from a graph.
 ///
@@ -415,76 +416,70 @@ impl RepairKit {
     }
 }
 
-/// Repairs after an edge insertion (`g` already contains the new edge):
-/// parallel-upgrade swap if a heavier copy of an already-matched pair
-/// arrived, then bounded-augmentation fix-up seeded at the endpoints.
-pub(crate) fn repair_insert<G, M>(
-    kit: &mut RepairKit,
-    g: &G,
-    m: &mut M,
-    u: Vertex,
-    v: Vertex,
-    weight: u64,
-    max_len: usize,
-) -> FixOutcome
+/// The op-validity rule, run right after the structural change of `op`
+/// (`g` already reflects it) by every engine and every repair policy:
+/// after it, the matching is backed by live edges only — valid, if not
+/// yet certified.
+///
+/// * **Insert:** a heavier copy of an already-matched pair is swapped in.
+///   Matchings are keyed by endpoint pair, so this upgrade cannot be
+///   expressed as an augmentation and no later fix-up would find it.
+/// * **Delete:** if the matched copy of `{u, v}` died — no live edge with
+///   the same endpoints *and weight* remains — the matching drops it.
+///
+/// Both mutations are journalled. Returns the weight change, or `None`
+/// when the matching was left as it was.
+pub(crate) fn keep_valid<G, M>(kit: &mut RepairKit, g: &G, m: &mut M, op: UpdateOp) -> Option<i128>
 where
     G: RepairGraph + ?Sized,
     M: RepairMatching + ?Sized,
 {
+    let (u, v) = op.endpoints();
     kit.note_read(u);
     kit.note_read(v);
-    let mut out = FixOutcome::default();
-    // parallel upgrade: matchings are keyed by endpoint pair, so a
-    // heavier copy of an already-matched pair cannot be expressed as an
-    // augmentation — swap it in directly
-    if let Some(me) = m.matched_edge(u) {
-        if me.other(u) == v && weight > me.weight {
+    let me = m.matched_edge(u).filter(|me| me.other(u) == v)?;
+    match op {
+        UpdateOp::Insert { weight, .. } if weight > me.weight => {
             let old = m.do_remove(u, v);
             kit.journal.push((old, false));
             let new = Edge::new(u, v, weight);
             m.do_insert(new);
             kit.journal.push((new, true));
-            out.gain += weight as i128 - old.weight as i128;
+            Some(weight as i128 - old.weight as i128)
         }
+        UpdateOp::Delete { .. } if !g.has_live_copy(u, v, me.weight) => {
+            let removed = m.do_remove(u, v);
+            kit.journal.push((removed, false));
+            Some(-(removed.weight as i128))
+        }
+        _ => None,
     }
-    // a new positive component must run through the new edge
-    kit.dirty.clear();
-    kit.dirty.extend([u, v]);
-    let fix = kit.fix_up(g, m, max_len);
-    out.gain += fix.gain;
-    out.augmentations += fix.augmentations;
-    out
 }
 
-/// Repairs after an edge deletion (`g` no longer contains the deleted
-/// copy): if the matched copy of `{u, v}` is gone — no live edge with the
-/// same endpoints *and weight* remains — the matching drops it and the
-/// fix-up re-matches around the freed endpoints. Deleting an unmatched
-/// copy cannot create a positive augmentation (gains only shrink), so it
-/// is free.
-pub(crate) fn repair_delete<G, M>(
+/// The eager repair of one op (`g` already reflects it): the validity
+/// rule, then the bounded-augmentation fix-up seeded at the endpoints. A
+/// new positive component must run through an inserted edge, so every
+/// insert is searched; a delete can only open one by freeing its
+/// endpoints, so a delete is searched only when its matched copy died —
+/// deleting an unmatched copy only shrinks gains, and is free.
+pub(crate) fn repair_op<G, M>(
     kit: &mut RepairKit,
     g: &G,
     m: &mut M,
-    u: Vertex,
-    v: Vertex,
+    op: UpdateOp,
     max_len: usize,
 ) -> FixOutcome
 where
     G: RepairGraph + ?Sized,
     M: RepairMatching + ?Sized,
 {
-    kit.note_read(u);
-    kit.note_read(v);
-    let mut out = FixOutcome::default();
-    let lost_matched_edge = match m.matched_edge(u) {
-        Some(me) => me.other(u) == v && !g.has_live_copy(u, v, me.weight),
-        None => false,
+    let changed = keep_valid(kit, g, m, op);
+    let mut out = FixOutcome {
+        gain: changed.unwrap_or(0),
+        augmentations: 0,
     };
-    if lost_matched_edge {
-        let removed = m.do_remove(u, v);
-        kit.journal.push((removed, false));
-        out.gain -= removed.weight as i128;
+    if op.is_insert() || changed.is_some() {
+        let (u, v) = op.endpoints();
         kit.dirty.clear();
         kit.dirty.extend([u, v]);
         let fix = kit.fix_up(g, m, max_len);

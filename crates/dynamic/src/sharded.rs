@@ -45,7 +45,9 @@
 
 use wmatch_graph::pool::resolve_threads;
 use wmatch_graph::{Edge, Graph, Matching, Vertex};
+use wmatch_oracle::{IncrementalCertifier, OracleError};
 
+use crate::certifier::CheckpointCertificate;
 use crate::chaos::{ChaosConfig, ChaosCounters, ChaosInjector};
 use crate::dyngraph::DynGraph;
 use crate::engine::{
@@ -316,12 +318,13 @@ impl ShardedMatcher {
         }
     }
 
-    /// Applies updates in **deferred mode**: structural changes and
-    /// dead-match cleanup only, no repairs — the degraded serve path's
-    /// tolerate-ε-staleness ingest. The matching stays *valid* but its
-    /// Fact 1.3 certificate is suspended until
-    /// [`ShardedMatcher::flush_repairs`] runs. Deferred ops are
-    /// journaled like any other; crash recovery replays them eagerly.
+    /// Applies updates in **deferred mode**: structural changes and the
+    /// op-validity rule only, no repairs — the degraded serve path's
+    /// tolerate-ε-staleness ingest, the same deferral as
+    /// [`RepairPolicy::Window`](crate::RepairPolicy::Window). The matching
+    /// stays *valid* but its Fact 1.3 certificate is suspended until
+    /// [`ShardedMatcher::flush_repairs`] runs. Deferred ops are journaled
+    /// like any other; crash recovery replays them eagerly.
     ///
     /// # Errors
     ///
@@ -333,7 +336,7 @@ impl ShardedMatcher {
         }
         let mut out = BatchStats::default();
         for (i, &op) in ops.iter().enumerate() {
-            match self.core.apply_lazy_one(op) {
+            match self.core.defer_one(op) {
                 Ok(s) => out.absorb(s),
                 Err(source) => {
                     if let Some(w) = self.wal.as_mut() {
@@ -356,7 +359,7 @@ impl ShardedMatcher {
     /// flush's aggregate churn; `applied` stays 0 — the deferred ops
     /// were already counted when ingested.
     pub fn flush_repairs(&mut self) -> BatchStats {
-        let s = self.core.flush_repairs();
+        let s = self.core.flush();
         if let Some(w) = self.wal.as_mut() {
             w.maybe_snapshot(&self.core);
         }
@@ -372,7 +375,22 @@ impl ShardedMatcher {
     /// Deferred updates whose repairs are still pending (0 outside
     /// degraded mode).
     pub fn deferred_repairs(&self) -> usize {
-        self.core.stale_ops
+        self.core.pending_ops
+    }
+
+    /// Flushes any deferred repairs, then re-certifies the committed
+    /// state through `cert`; see
+    /// [`UpdateEngine::certify_checkpoint`].
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError`] if the live graph does not fit the certifier's
+    /// bipartition.
+    pub fn certify_checkpoint(
+        &mut self,
+        cert: &mut IncrementalCertifier,
+    ) -> Result<CheckpointCertificate, OracleError> {
+        UpdateEngine::certify_checkpoint(self, cert)
     }
 
     /// Enables the write-ahead log, snapshotting the current state
@@ -428,8 +446,8 @@ impl ShardedMatcher {
         self.core.counters = DynamicCounters::default();
         self.core.updates_since_rebuild = 0;
         self.core.write_buf.clear();
-        self.core.stale_dirty.clear();
-        self.core.stale_ops = 0;
+        self.core.pending.clear();
+        self.core.pending_ops = 0;
         self.spec.reset_pipeline();
     }
 
@@ -473,7 +491,7 @@ impl ShardedMatcher {
                 return Some(shard_of(e.u.min(e.v), k, n));
             }
         }
-        if self.core.stale_ops == 0 {
+        if self.core.pending_ops == 0 {
             for e in g.live_iter() {
                 let mu = m.matched_edge(e.u);
                 let mv = m.matched_edge(e.v);
@@ -584,8 +602,13 @@ impl UpdateEngine for ShardedMatcher {
         }
     }
 
+    /// Settles deferred repairs via [`ShardedMatcher::flush_repairs`]; with
+    /// nothing deferred it is a no-op that takes no WAL snapshot.
     fn flush(&mut self) -> UpdateStats {
-        let s = ShardedMatcher::flush_repairs(self);
+        if self.deferred_repairs() == 0 {
+            return UpdateStats::default();
+        }
+        let s = self.flush_repairs();
         UpdateStats {
             gain: s.gain,
             recourse: s.recourse,
@@ -878,6 +901,20 @@ mod tests {
         b.apply_all(&ops).unwrap();
         assert_eq!(a.matching().to_edges(), b.matching().to_edges());
         assert_eq!(a.counters(), b.counters());
+    }
+
+    #[test]
+    fn deferred_insert_upgrades_a_heavier_parallel_copy() {
+        // degraded-mode ingest keeps the matching valid on inserts too: a
+        // heavier copy of a matched pair is swapped in at once, so the
+        // flush leaves nothing for the watchdog to heal
+        let mut eng = ShardedMatcher::new(2, DynamicConfig::default(), 1);
+        eng.apply_deferred(&[UpdateOp::insert(0, 1, 1)]).unwrap();
+        eng.flush_repairs();
+        eng.apply_deferred(&[UpdateOp::insert(0, 1, 100)]).unwrap();
+        eng.flush_repairs();
+        assert_eq!(eng.matching().weight(), 100);
+        assert_eq!(eng.sentinel_violation(), None);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Batched speculative execution: ball-overlap grouping, parallel group
 //! repair, and in-order commit — the machinery behind
-//! [`DynamicMatcher::apply_batch`](crate::DynamicMatcher::apply_batch)
-//! and the sharded engine.
+//! [`ShardedMatcher::apply_batch`](crate::ShardedMatcher::apply_batch).
 //!
 //! # The execution model
 //!
@@ -54,7 +53,7 @@ use wmatch_graph::{Edge, Matching, Scratch, Vertex};
 use crate::dyngraph::DynGraph;
 use crate::engine::{BatchError, BatchStats, DynamicConfig, EngineCore, UpdateStats};
 use crate::error::DynamicError;
-use crate::repair::{repair_delete, repair_insert, RepairGraph, RepairKit, RepairMatching};
+use crate::repair::{repair_op, RepairGraph, RepairKit, RepairMatching};
 use crate::update::UpdateOp;
 
 /// The shard owning vertex `v` under `k` contiguous vertex ranges
@@ -346,14 +345,7 @@ impl SpecWorker {
                         dead,
                     };
                     let mut sm = SpecMatching { base: m, overlay };
-                    let fix = match op {
-                        UpdateOp::Insert { u, v, weight } => {
-                            repair_insert(kit, &view, &mut sm, u, v, weight, cfg.max_len)
-                        }
-                        UpdateOp::Delete { u, v } => {
-                            repair_delete(kit, &view, &mut sm, u, v, cfg.max_len)
-                        }
-                    };
+                    let fix = repair_op(kit, &view, &mut sm, op, cfg.max_len);
                     let j0 = self.journal_arena.len() as u32;
                     let w0 = self.writes_arena.len() as u32;
                     let (u, v) = op.endpoints();
@@ -537,10 +529,8 @@ impl<T> SlotPtr<T> {
 unsafe impl<T> Send for SlotPtr<T> {}
 unsafe impl<T> Sync for SlotPtr<T> {}
 
-/// The reusable batch-execution state shared by
-/// [`DynamicMatcher::apply_batch`](crate::DynamicMatcher::apply_batch)
-/// (`k = 1`) and the sharded engine (`k` = shard count). See the
-/// [module docs](self) for the three-stage model.
+/// The reusable batch-execution state of the sharded engine (`k` = shard
+/// count). See the [module docs](self) for the three-stage model.
 #[derive(Debug)]
 pub(crate) struct BatchSpec {
     /// Routing shard count (grouping granularity; semantics-free).
@@ -756,16 +746,7 @@ impl BatchSpec {
                 // earlier commit) that no foreign write touched anything
                 // this group's speculation read, so replaying is
                 // indistinguishable from repairing here
-                match op {
-                    UpdateOp::Insert { u, v, weight } => {
-                        core.g
-                            .insert(u, v, weight)
-                            .expect("speculated insert replays");
-                    }
-                    UpdateOp::Delete { u, v } => {
-                        core.g.delete(u, v).expect("speculated delete replays");
-                    }
-                }
+                core.g.apply(op).expect("speculated op replays");
                 for j in plan.journal.0..plan.journal.1 {
                     let (e, ins) = w.journal_arena[j as usize];
                     if ins {

@@ -16,7 +16,7 @@
 //!
 //! If a batch stops at a malformed op, the un-applied suffix is
 //! truncated from the tail so the journal only ever records ops that
-//! actually committed. Deferred (lazy-mode) ops are journaled like any
+//! actually committed. Deferred (degraded-mode) ops are journaled like any
 //! other; recovery replays them eagerly, so a crash canonicalizes
 //! pending staleness into the fully-repaired state.
 
@@ -159,8 +159,8 @@ impl Wal {
         core.counters = self.snap_counters;
         core.updates_since_rebuild = self.snap_since_rebuild;
         core.write_buf.clear();
-        core.stale_dirty.clear();
-        core.stale_ops = 0;
+        core.pending.clear();
+        core.pending_ops = 0;
     }
 
     /// Updates durable in the snapshot.

@@ -1,8 +1,10 @@
 //! Counting-allocator proof that the dynamic engine's update path is
 //! allocation-free at steady state: once a warm-up cycle has sized every
 //! persistent buffer (slab, adjacency, repair-kit arenas, recycled CSR
-//! views, rebuild snapshot), re-applying the identical op cycle — and
-//! running restore-only rebuild epochs — must not touch the allocator.
+//! views, rebuild snapshot, pending-repair set), re-applying the
+//! identical op cycle — running restore-only rebuild epochs, or deferring
+//! repairs under a budget or window policy and flushing them — must not
+//! touch the allocator.
 //!
 //! This file holds a single test so no concurrent test thread can
 //! perturb the counter (the same discipline as the graph crate's
@@ -11,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wmatch_dynamic::{DynamicConfig, DynamicMatcher, UpdateOp};
+use wmatch_dynamic::{DynamicConfig, DynamicMatcher, RepairPolicy, UpdateOp};
 
 struct CountingAllocator;
 
@@ -59,6 +61,19 @@ fn churn_cycle() -> Vec<UpdateOp> {
         ops.push(UpdateOp::delete(b + 1, b + 2));
     }
     ops
+}
+
+/// Appends a state-neutral sequence on the free vertices `b..b + 4`: two
+/// light pairs, a heavy middle edge that swaps them out, then deleting
+/// the middle edge — which needs two augmentations to re-match both
+/// light pairs — and tearing everything down.
+fn ops_two_augmentation_teardown(ops: &mut Vec<UpdateOp>, b: u32) {
+    ops.push(UpdateOp::insert(b, b + 1, 5));
+    ops.push(UpdateOp::insert(b + 2, b + 3, 5));
+    ops.push(UpdateOp::insert(b + 1, b + 2, 20));
+    ops.push(UpdateOp::delete(b + 1, b + 2));
+    ops.push(UpdateOp::delete(b + 2, b + 3));
+    ops.push(UpdateOp::delete(b, b + 1));
 }
 
 #[test]
@@ -114,4 +129,41 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
         during, 0,
         "warmed-up restore-only epochs must not allocate ({during} allocations)"
     );
+
+    // phase 3: the deferring policies — a budget that runs out (carrying
+    // repairs into later ops) and a window that defers and batch-flushes;
+    // each cycle ends with a flush, so window boundaries repeat per cycle.
+    // The cycle gains a teardown whose matched delete needs two
+    // augmentations, so a budget of 1 really carries.
+    let mut cycle = cycle;
+    for b in (4u32..40).step_by(8) {
+        ops_two_augmentation_teardown(&mut cycle, b);
+    }
+    for policy in [RepairPolicy::Budget(1), RepairPolicy::Window(7)] {
+        let mut eng = DynamicMatcher::new(n, DynamicConfig::default()).with_policy(policy);
+        eng.apply_all(&base).expect("base ops are well-formed");
+        eng.flush();
+        let before_warm = eng.matching().to_edges();
+        eng.apply_all(&cycle).expect("cycle ops are well-formed");
+        eng.flush();
+        assert_eq!(
+            eng.matching().to_edges(),
+            before_warm,
+            "{policy:?}: the cycle plus a flush is state-neutral"
+        );
+        let deferred_before = eng.exhausted_updates() + eng.flushes();
+        let before = allocations();
+        eng.apply_all(&cycle).expect("cycle ops are well-formed");
+        eng.flush();
+        let during = allocations() - before;
+        assert!(
+            eng.exhausted_updates() + eng.flushes() > deferred_before,
+            "{policy:?}: repairs must actually be deferred inside the measured cycle"
+        );
+        assert_eq!(
+            during, 0,
+            "{policy:?}: warmed-up deferred apply and flush must not allocate \
+             ({during} allocations)"
+        );
+    }
 }

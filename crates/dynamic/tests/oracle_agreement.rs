@@ -15,7 +15,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use wmatch_dynamic::{DynamicConfig, DynamicMatcher, RecomputeBaseline, ShardedMatcher, UpdateOp};
+use wmatch_dynamic::{
+    DynamicConfig, DynamicMatcher, RecomputeBaseline, ShardedMatcher, UpdateEngine, UpdateOp,
+};
 use wmatch_graph::aug_search::best_augmentation;
 use wmatch_graph::exact::max_weight_matching;
 use wmatch_graph::Vertex;

@@ -1,8 +1,8 @@
 //! The cross-engine metamorphic suite behind the shootout: every dynamic
 //! engine in the crate — eager, sharded, recompute baseline, random-walk,
-//! bounded-lazy, ε-stale — is driven through the one [`UpdateEngine`]
-//! surface over pinned-seed update streams, and held to the claims the
-//! shootout compares them on:
+//! and the bounded-lazy and ε-stale repair policies — is driven through
+//! the one [`UpdateEngine`] surface over pinned-seed update streams, and
+//! held to the claims the shootout compares them on:
 //!
 //! - **consistency**: after a flush the maintained matching validates
 //!   against the live snapshot (no vertex matched twice, every matched
@@ -19,15 +19,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wmatch_dynamic::{
-    DynamicConfig, DynamicMatcher, LazyMatcher, RandomWalkConfig, RandomWalkMatcher,
-    RecomputeBaseline, ShardedMatcher, StaleMatcher, UpdateEngine, UpdateOp,
+    DynamicConfig, DynamicMatcher, RandomWalkConfig, RandomWalkMatcher, RecomputeBaseline,
+    RepairPolicy, ShardedMatcher, UpdateEngine, UpdateOp,
 };
 use wmatch_graph::exact::max_weight_matching;
 use wmatch_graph::{Edge, Vertex};
 
 /// Every engine the shootout compares, freshly configured. The lazy
-/// budget and staleness bound are deliberately tight so the deferred
-/// paths actually defer on these streams.
+/// budget and staleness window are deliberately tight so the deferred
+/// policies actually defer on these streams.
 fn engines(n: usize) -> Vec<(&'static str, Box<dyn UpdateEngine>)> {
     let cfg = DynamicConfig::default();
     vec![
@@ -38,8 +38,14 @@ fn engines(n: usize) -> Vec<(&'static str, Box<dyn UpdateEngine>)> {
             "randomwalk",
             Box::new(RandomWalkMatcher::new(n, RandomWalkConfig::new())),
         ),
-        ("lazy", Box::new(LazyMatcher::new(n, cfg, 1))),
-        ("stale", Box::new(StaleMatcher::new(n, cfg, 9))),
+        (
+            "lazy",
+            Box::new(DynamicMatcher::new(n, cfg).with_policy(RepairPolicy::Budget(1))),
+        ),
+        (
+            "stale",
+            Box::new(DynamicMatcher::new(n, cfg).with_policy(RepairPolicy::Window(9))),
+        ),
     ]
 }
 
@@ -208,19 +214,20 @@ fn recourse_journals_reconcile_with_counters_and_snapshot_diffs() {
 
 #[test]
 fn generously_budgeted_lazy_engine_is_bit_identical_to_eager() {
-    // metamorphic relation: with an unbounded budget the lazy engine never
+    // metamorphic relation: with an unbounded budget the lazy policy never
     // defers, so it *is* the eager engine, op for op
     let ops = heavy_churn(16, 250, 0x1A2B);
     let mut eager = DynamicMatcher::new(16, DynamicConfig::default());
-    let mut lazy = LazyMatcher::new(16, DynamicConfig::default(), usize::MAX);
+    let mut lazy = DynamicMatcher::new(16, DynamicConfig::default())
+        .with_policy(RepairPolicy::Budget(usize::MAX));
     for &op in &ops {
         let a = eager.apply(op).unwrap();
-        let b = LazyMatcher::apply(&mut lazy, op).unwrap();
+        let b = lazy.apply(op).unwrap();
         assert_eq!(a, b, "per-op stats diverge");
     }
     assert_eq!(eager.matching().to_edges(), lazy.matching().to_edges());
     assert_eq!(lazy.exhausted_updates(), 0, "nothing may be deferred");
-    assert_eq!(lazy.carry_len(), 0);
+    assert_eq!(lazy.pending_len(), 0);
 }
 
 proptest! {
