@@ -25,7 +25,7 @@
 //! | `main-alg-mpc` | Theorem 1.2.1 | MPC | weight | no (1−ε) |
 //! | `rand-arr-matching` | Theorem 1.1, Algorithm 2 | random-order | weight | no (½+c) |
 //! | `dynamic-wgtaug` | Fact 1.3 repair loop (update streams) | dynamic | weight | no (½) |
-//! | `dynamic-sharded` | Fact 1.3 sharded speculate-and-replay engine | dynamic | weight | no (½) |
+//! | `dynamic-sharded` | Fact 1.3 sharded batched engine | dynamic | weight | no (½) |
 //! | `dynamic-rebuild` | Fact 1.3 recompute-from-scratch baseline | dynamic | weight | no (½) |
 //! | `dynamic-randomwalk` | local dominance via seeded random-walk repair (cf. arXiv:2104.13098) | dynamic | weight | no (½) |
 //! | `dynamic-lazy` | Fact 1.3 under a per-update work budget (`RepairPolicy::Budget`), restored at flush | dynamic | weight | no (½) |

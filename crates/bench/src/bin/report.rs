@@ -10,29 +10,18 @@
 //! prints it as markdown. `serve` is accepted as an alias for `e12` (the
 //! marketplace serve benchmark, which writes `BENCH_serve.json`) and `chaos`
 //! for `e13` (the fault-injection/recovery suite, which writes
-//! `BENCH_chaos.json`).
+//! `BENCH_chaos.json`). An unknown id or flag exits with status 2 and
+//! lists the accepted ids and aliases.
 
 use std::time::Instant;
 
 use wmatch_bench::experiments::*;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        // `serve` and `chaos` are the suite-style names of e12 and e13
-        .map(|s| match s.as_str() {
-            "serve" => "e12",
-            "chaos" => "e13",
-            other => other,
-        })
-        .collect();
-    let run_all = selected.is_empty();
+type Runner = fn(bool) -> String;
 
-    type Runner = fn(bool) -> String;
-    let experiments: Vec<(&str, Runner)> = vec![
+/// Every runnable experiment, in report order.
+fn experiments() -> Vec<(&'static str, Runner)> {
+    vec![
         ("e1", e1_random_order_unweighted::run),
         ("e2", e2_random_arrival_weighted::run),
         ("e3", e3_three_aug_paths::run),
@@ -62,7 +51,64 @@ fn main() {
         // dense oracles, cold vs warm; WMATCH_ORACLE_GUARD=1 enables the
         // warm-not-slower-than-cold CI guard)
         ("oracle", wmatch_bench::oracle::run),
-    ];
+    ]
+}
+
+/// The suite-style names of e12 and e13.
+const ALIASES: [(&str, &str); 2] = [("serve", "e12"), ("chaos", "e13")];
+
+/// A parsed command line: quick mode plus the selected experiment ids
+/// (aliases resolved; empty selects every experiment).
+#[derive(Debug, PartialEq)]
+struct Args {
+    quick: bool,
+    selected: Vec<&'static str>,
+}
+
+/// Parses the command line against the known experiment `ids`. An
+/// unknown id or flag is an error that lists what is accepted, so a typo
+/// can never pass as an empty report.
+fn parse_args(args: &[String], ids: &[&'static str]) -> Result<Args, String> {
+    let mut out = Args {
+        quick: false,
+        selected: Vec::new(),
+    };
+    for a in args {
+        if a == "--quick" {
+            out.quick = true;
+        } else if a.starts_with('-') {
+            return Err(format!("unknown flag `{a}`; the only flag is --quick"));
+        } else {
+            let id = ALIASES
+                .iter()
+                .find(|(alias, _)| alias == a)
+                .map_or(a.as_str(), |&(_, id)| id);
+            let Some(&known) = ids.iter().find(|&&k| k == id) else {
+                let aliases: Vec<String> = ALIASES
+                    .iter()
+                    .map(|(alias, id)| format!("{alias} = {id}"))
+                    .collect();
+                return Err(format!(
+                    "unknown experiment `{a}`; accepted ids: {} (aliases: {})",
+                    ids.join(", "),
+                    aliases.join(", ")
+                ));
+            };
+            out.selected.push(known);
+        }
+    }
+    Ok(out)
+}
+
+fn main() {
+    let experiments = experiments();
+    let ids: Vec<&'static str> = experiments.iter().map(|&(id, _)| id).collect();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Args { quick, selected } = parse_args(&raw, &ids).unwrap_or_else(|e| {
+        eprintln!("report: {e}");
+        std::process::exit(2);
+    });
+    let run_all = selected.is_empty();
 
     println!("# wmatch experiment report\n");
     println!(
@@ -84,5 +130,54 @@ fn main() {
                 t.elapsed().as_secs_f64()
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let ids: Vec<&'static str> = experiments().iter().map(|&(id, _)| id).collect();
+        parse_args(&args, &ids)
+    }
+
+    #[test]
+    fn ids_aliases_and_quick_parse() {
+        assert_eq!(
+            parse(&["--quick", "e1", "serve", "chaos", "dynamic"]),
+            Ok(Args {
+                quick: true,
+                selected: vec!["e1", "e12", "e13", "dynamic"],
+            })
+        );
+        assert_eq!(
+            parse(&[]),
+            Ok(Args {
+                quick: false,
+                selected: vec![],
+            }),
+            "no ids selects every experiment"
+        );
+    }
+
+    #[test]
+    fn unknown_id_is_an_error_listing_ids_and_aliases() {
+        let err = parse(&["--quick", "e99"]).unwrap_err();
+        assert!(err.contains("`e99`"), "{err}");
+        assert!(err.contains("e1, e2,") && err.contains("oracle"), "{err}");
+        assert!(
+            err.contains("serve = e12") && err.contains("chaos = e13"),
+            "{err}"
+        );
+        assert!(parse(&["dynamic/serve/chaos"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        let err = parse(&["--quik", "e1"]).unwrap_err();
+        assert!(err.contains("`--quik`") && err.contains("--quick"), "{err}");
+        assert!(parse(&["-q"]).is_err());
     }
 }

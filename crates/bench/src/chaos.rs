@@ -11,11 +11,9 @@
 //!    its contract asserted: poisoned ops are rejected typed and the
 //!    surviving state is bit-identical to the run that never saw them
 //!    (a twin injector predicts exactly which ops were poisoned);
-//!    an injected worker panic commits every other overlap group and the
-//!    victim re-runs through the sequential fallback, bit-identical to
-//!    the fault-free run; bit-flipped matching entries trip the
-//!    invariant sentinel, and healing goes through WAL recovery
-//!    (bit-identical) or a warm rebuild epoch (re-certified floor).
+//!    bit-flipped matching entries trip the invariant sentinel, and
+//!    healing goes through WAL recovery (bit-identical) or a warm
+//!    rebuild epoch (re-certified floor).
 //! 2. **Recovery latency** — crash the engine (`simulate_crash`) at
 //!    several WAL snapshot cadences and time `recover()`; recovery must
 //!    reproduce the pre-crash state bit-for-bit.
@@ -35,8 +33,8 @@
 use std::time::Instant;
 
 use wmatch_dynamic::{
-    silence_injected_panics, ChaosConfig, ChaosInjector, DynamicConfig, RetryPolicy, ServeDriver,
-    ShardedMatcher, UpdateOp, WalConfig,
+    ChaosConfig, ChaosInjector, DynamicConfig, RetryPolicy, ServeDriver, ShardedMatcher, UpdateOp,
+    WalConfig,
 };
 use wmatch_graph::aug_search::best_augmentation;
 use wmatch_graph::exact::max_weight_matching;
@@ -206,44 +204,7 @@ fn grid_poison(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
     }
 }
 
-/// Fault class 2 — worker panics: every batch panics one overlap group
-/// mid-ball-repair; the batch must commit the others, re-run the victim
-/// sequentially, and stay bit-identical to the fault-free run.
-fn grid_panic(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
-    let cfg = DynamicConfig::default().with_seed(5).with_threads(4);
-    let mut reference = ShardedMatcher::new(n, cfg, 4);
-    reference.apply_all(ops).expect("well-formed stream");
-
-    let mut eng = ShardedMatcher::new(n, cfg, 4);
-    eng.install_chaos(
-        ChaosConfig::new()
-            .with_seed(0xE13)
-            .with_panic_every(1)
-            .with_sentinel_every(0),
-    );
-    eng.apply_all(ops)
-        .expect("panics are isolated, not surfaced");
-    let counters = eng.chaos_counters().expect("chaos installed");
-    assert!(counters.worker_panics > 0, "the panic cadence must fire");
-    assert!(
-        eng.groups_fallback() >= counters.worker_panics,
-        "every panicked group re-ran through the sequential fallback"
-    );
-    let bit_identical = state_of(&eng) == state_of(&reference);
-    assert!(
-        bit_identical,
-        "panic grid: a panicked group corrupted the committed state"
-    );
-    FaultGridRow {
-        class: "worker-panics",
-        ops: ops.len(),
-        injected: counters.worker_panics,
-        bit_identical,
-        contract: "panicked group re-run sequentially; batch bit-identical to fault-free",
-    }
-}
-
-/// Fault class 3 — bit flips with a WAL: corrupted matching entries trip
+/// Fault class 2 — bit flips with a WAL: corrupted matching entries trip
 /// the sentinel, healing goes through WAL recovery, and the durable
 /// state stays exactly the clean run's.
 fn grid_bitflip_wal(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
@@ -300,7 +261,7 @@ fn grid_bitflip_wal(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
     }
 }
 
-/// Fault class 4 — bit flips without a WAL: the sentinel quarantines and
+/// Fault class 3 — bit flips without a WAL: the sentinel quarantines and
 /// heals via a warm rebuild epoch; the healed matching must re-certify
 /// the Fact 1.3 floor against an exact blossom solve.
 fn grid_bitflip_rebuild(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
@@ -492,13 +453,11 @@ fn ratio_row(family: AdversarialFamily, n: usize, ops: usize, checkpoint: usize)
 
 /// Runs the whole chaos suite at `quick` or full sizes.
 pub fn run_suite(quick: bool) -> ChaosReport {
-    silence_injected_panics();
     let (gn, gops) = if quick { (96, 3_000) } else { (256, 20_000) };
     let storm = AdversarialFamily::HubStorm.build(gn, gops, 0xE13);
 
     let fault_grid = vec![
         grid_poison(storm.n, &storm.ops),
-        grid_panic(storm.n, &storm.ops),
         grid_bitflip_wal(storm.n, &storm.ops),
         grid_bitflip_rebuild(storm.n, &storm.ops),
     ];
@@ -717,9 +676,9 @@ pub fn run(quick: bool) -> String {
     }
     out.push_str(&format!(
         "\nShape: the fault grid is the contract, not the measurement — poisoned ops reject \
-         typed with the survivors bit-identical to the never-poisoned run, panicked workers \
-         lose nothing, and corrupted matching entries heal through the WAL (bit-identical) \
-         or a warm rebuild (floor re-certified). Recovery latency scales with the journal \
+         typed with the survivors bit-identical to the never-poisoned run, and corrupted \
+         matching entries heal through the WAL (bit-identical) or a warm rebuild (floor \
+         re-certified). Recovery latency scales with the journal \
          tail, so the cadence column is the knob: snapshot often to recover fast, rarely to \
          snapshot cheap. The degraded row is the serve driver keeping a poisoned stream \
          live; the worst-case ratios hold the Fact 1.3 ½ floor on streams built to break \
@@ -786,7 +745,7 @@ mod tests {
     fn guard_trips_on_silent_fault_class() {
         let report = ChaosReport {
             fault_grid: vec![FaultGridRow {
-                class: "worker-panics",
+                class: "bit-flips (WAL heal)",
                 ops: 100,
                 injected: 0, // never fired
                 bit_identical: true,
@@ -803,11 +762,9 @@ mod tests {
     #[test]
     fn tiny_suite_end_to_end() {
         // miniature pass over the whole plumbing (not the sizes)
-        silence_injected_panics();
         let storm = AdversarialFamily::HubStorm.build(48, 600, 1);
         let rows = vec![
             grid_poison(storm.n, &storm.ops),
-            grid_panic(storm.n, &storm.ops),
             grid_bitflip_wal(storm.n, &storm.ops),
             grid_bitflip_rebuild(storm.n, &storm.ops),
         ];

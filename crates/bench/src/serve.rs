@@ -11,12 +11,11 @@
 //! committed numbers are repeatable peak throughput, not a draw from the
 //! scheduler-noise distribution.
 //!
-//! Rows come in three flavours: `sequential` (the reference engine),
-//! `sharded` at `threads = 1` (the inline commit path — this is the row
-//! the ≤10% overhead target and the `WMATCH_SERVE_GUARD` CI guard
-//! compare against sequential), and `sharded` at `threads = 2` (the
-//! speculative ball-repair path, priced on whatever cores the host has —
-//! `hardware_threads` in the header says how many that was).
+//! Rows come in two flavours: `sequential` (the reference engine) and
+//! `sharded` at shards {1, 4, 8}. Every sharded batch commits through the
+//! sequential engine's per-op path, so the sharded rows price the
+//! batching facade alone; the `sharded@1` row is the one the
+//! `WMATCH_SERVE_GUARD` CI guard compares against sequential.
 //!
 //! Two guards run **before** any timing, because a throughput number for
 //! a wrong result is meaningless:
@@ -33,8 +32,8 @@
 //!
 //! With `WMATCH_SERVE_GUARD=1` in the environment, the suite additionally
 //! fails if the `sharded@1 (threads=1)` row falls more than 15% behind
-//! sequential — the regression guard for the "parallel structure costs
-//! ~nothing at one thread" contract.
+//! sequential — the regression guard for the "batching costs ~nothing"
+//! contract.
 
 use std::time::Instant;
 
@@ -69,16 +68,6 @@ pub struct ServeRow {
     pub recourse_total: u64,
     /// Final matching weight.
     pub final_weight: i128,
-    /// Speculative plans committed by replay (sharded rows).
-    pub replayed: u64,
-    /// Ops that fell back to sequential repair (sharded rows).
-    pub fallbacks: u64,
-    /// Ops committed through the one-worker inline path.
-    pub inline: u64,
-    /// Ball-overlap groups formed across the replay's batches.
-    pub overlap_groups: u64,
-    /// Ops speculated in the parallel ball phase.
-    pub balls_parallel: u64,
     /// Chunks stolen by the work-stealing pool.
     pub steals: u64,
 }
@@ -137,10 +126,10 @@ fn assert_determinism(n: usize, ops: usize) {
 
 /// Asserts the Fact 1.3 ½ floor against the exact blossom oracle at
 /// checkpoints of an oracle-feasible marketplace sub-sample, replayed
-/// through the sharded engine itself (with the speculative path engaged).
+/// through the sharded engine itself.
 fn assert_oracle_floor_subsample(n: usize, ops: usize, checkpoint: usize) {
     let w = marketplace(n, ops, 0xF100);
-    let cfg = DynamicConfig::default().with_seed(5).with_threads(2);
+    let cfg = DynamicConfig::default().with_seed(5);
     let mut sh = ShardedMatcher::new(n, cfg, 4);
     for (i, chunk) in w.ops.chunks(checkpoint).enumerate() {
         sh.apply_all(chunk)
@@ -177,62 +166,50 @@ fn replay_once(
     // replay time = the sum of the timed batches (the final-snapshot
     // certificate below is verification, not service work)
     let mut busy = 0.0f64;
-    let (matching_weight, recourse, replayed, fallbacks, inline, groups, balls, steals) =
-        if engine == "sequential" {
-            let mut eng = DynamicMatcher::new(n, cfg);
-            for chunk in ops.chunks(batch) {
-                let t = Instant::now();
-                eng.apply_all(chunk)
-                    .expect("generated stream is well-formed");
-                let dt = t.elapsed().as_secs_f64();
-                busy += dt;
-                lat_us.push(dt * 1e6 / chunk.len() as f64);
-            }
-            // the Fact 1.3 certificate on the full final graph: the
-            // invariant the ½ floor follows from, checkable without the
-            // O(n³) oracle
-            let snap = eng.graph().snapshot();
-            assert!(
-                best_augmentation(&snap, eng.matching(), cfg.max_len).is_none(),
-                "{engine}: a positive short augmentation survived the replay"
-            );
-            let w = eng.matching().weight();
-            (
-                w,
-                eng.counters().recourse_total,
-                0,
-                0,
-                0,
-                0,
-                0,
-                eng.steals(),
-            )
-        } else {
-            let mut eng = ShardedMatcher::new(n, cfg, shards).with_batch_size(batch);
-            for chunk in ops.chunks(batch) {
-                let t = Instant::now();
-                eng.apply_batch(chunk)
-                    .expect("generated stream is well-formed");
-                let dt = t.elapsed().as_secs_f64();
-                busy += dt;
-                lat_us.push(dt * 1e6 / chunk.len() as f64);
-            }
-            let snap = eng.graph().snapshot();
-            assert!(
-                best_augmentation(&snap, eng.matching(), cfg.max_len).is_none(),
-                "{engine}({shards}): a positive short augmentation survived the replay"
-            );
-            (
-                eng.matching().weight(),
-                eng.counters().recourse_total,
-                eng.replayed(),
-                eng.fallbacks(),
-                eng.inline_commits(),
-                eng.overlap_groups(),
-                eng.balls_parallel(),
-                eng.steals(),
-            )
-        };
+    let (matching_weight, recourse, steals) = if engine == "sequential" {
+        let mut eng = DynamicMatcher::new(n, cfg);
+        for chunk in ops.chunks(batch) {
+            let t = Instant::now();
+            eng.apply_all(chunk)
+                .expect("generated stream is well-formed");
+            let dt = t.elapsed().as_secs_f64();
+            busy += dt;
+            lat_us.push(dt * 1e6 / chunk.len() as f64);
+        }
+        // the Fact 1.3 certificate on the full final graph: the
+        // invariant the ½ floor follows from, checkable without the
+        // O(n³) oracle
+        let snap = eng.graph().snapshot();
+        assert!(
+            best_augmentation(&snap, eng.matching(), cfg.max_len).is_none(),
+            "{engine}: a positive short augmentation survived the replay"
+        );
+        (
+            eng.matching().weight(),
+            eng.counters().recourse_total,
+            eng.steals(),
+        )
+    } else {
+        let mut eng = ShardedMatcher::new(n, cfg, shards).with_batch_size(batch);
+        for chunk in ops.chunks(batch) {
+            let t = Instant::now();
+            eng.apply_batch(chunk)
+                .expect("generated stream is well-formed");
+            let dt = t.elapsed().as_secs_f64();
+            busy += dt;
+            lat_us.push(dt * 1e6 / chunk.len() as f64);
+        }
+        let snap = eng.graph().snapshot();
+        assert!(
+            best_augmentation(&snap, eng.matching(), cfg.max_len).is_none(),
+            "{engine}({shards}): a positive short augmentation survived the replay"
+        );
+        (
+            eng.matching().weight(),
+            eng.counters().recourse_total,
+            eng.steals(),
+        )
+    };
     lat_us.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let row = ServeRow {
         engine,
@@ -246,11 +223,6 @@ fn replay_once(
         p99_us: percentile(&lat_us, 0.99),
         recourse_total: recourse,
         final_weight: matching_weight,
-        replayed,
-        fallbacks,
-        inline,
-        overlap_groups: groups,
-        balls_parallel: balls,
         steals,
     };
     (row, busy)
@@ -290,9 +262,7 @@ fn best_of(quick: bool) -> usize {
 /// Runs the whole serve suite: guards first, then the timed rows, then
 /// (under `WMATCH_SERVE_GUARD=1`) the sharded@1 overhead guard.
 pub fn run_suite(quick: bool) -> Vec<ServeRow> {
-    // batch 256 is the measured sweet spot on the marketplace stream:
-    // large enough to amortize the speculation phase, small enough that
-    // cross-group conflicts stay rare and most plans commit by replay
+    // batch 256 is the engine's default ingest batch
     let (n, ops, batch) = if quick {
         (10_000usize, 100_000usize, 256usize)
     } else {
@@ -313,13 +283,9 @@ pub fn run_suite(quick: bool) -> Vec<ServeRow> {
     let w = marketplace(n, ops, 0xCAFE);
     let reps = best_of(quick);
     let mut rows = vec![measure("sequential", n, &w.ops, 1, 1, batch, reps)];
-    // threads = 1: the inline path — the overhead-parity rows
+    // the overhead-parity rows: the batching facade over the same path
     for shards in [1usize, 4, 8] {
         rows.push(measure("sharded", n, &w.ops, shards, 1, batch, reps));
-    }
-    // threads = 2: the speculative ball-repair path, priced on this host
-    for shards in [1usize, 8] {
-        rows.push(measure("sharded", n, &w.ops, shards, 2, batch, reps));
     }
     // the engines must agree at scale too (cheap: weights + recourse are
     // already collected per row)
@@ -342,8 +308,8 @@ pub fn run_suite(quick: bool) -> Vec<ServeRow> {
 }
 
 /// The CI overhead guard: `sharded@1 (threads=1)` must stay within 15%
-/// of sequential throughput — the "parallel structure costs ~nothing at
-/// one thread" contract, enforced.
+/// of sequential throughput — the "batching costs ~nothing" contract,
+/// enforced.
 fn assert_serve_guard(rows: &[ServeRow]) {
     let seq = rows
         .iter()
@@ -375,9 +341,7 @@ pub fn to_json(rows: &[ServeRow], quick: bool) -> String {
         out.push_str(&format!(
             "    {{\"engine\": \"{}\", \"shards\": {}, \"threads\": {}, \"batch\": {}, \"n\": {}, \
              \"ops\": {}, \"updates_per_sec\": {:.1}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-             \"recourse_total\": {}, \"final_weight\": {}, \"replayed\": {}, \
-             \"fallbacks\": {}, \"inline\": {}, \"overlap_groups\": {}, \
-             \"balls_parallel\": {}, \"steals\": {}}}{}\n",
+             \"recourse_total\": {}, \"final_weight\": {}, \"steals\": {}}}{}\n",
             r.engine,
             r.shards,
             r.threads,
@@ -389,11 +353,6 @@ pub fn to_json(rows: &[ServeRow], quick: bool) -> String {
             r.p99_us,
             r.recourse_total,
             r.final_weight,
-            r.replayed,
-            r.fallbacks,
-            r.inline,
-            r.overlap_groups,
-            r.balls_parallel,
             r.steals,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -420,11 +379,11 @@ pub fn run(quick: bool) -> String {
         path.display(),
         best_of(quick),
     ));
-    out.push_str("| engine | shards | threads | n | ops | updates/s | p50 µs | p99 µs | recourse | replayed | fallbacks | inline | groups | steals |\n");
-    out.push_str("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
+    out.push_str("| engine | shards | threads | n | ops | updates/s | p50 µs | p99 µs | recourse | steals |\n");
+    out.push_str("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
     for r in &rows {
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {:.0} | {:.2} | {:.2} | {} | {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} | {:.0} | {:.2} | {:.2} | {} | {} |\n",
             r.engine,
             r.shards,
             r.threads,
@@ -434,25 +393,14 @@ pub fn run(quick: bool) -> String {
             r.p50_us,
             r.p99_us,
             r.recourse_total,
-            r.replayed,
-            r.fallbacks,
-            r.inline,
-            r.overlap_groups,
             r.steals
         ));
     }
     out.push_str(&format!(
         "\nShape: all engines commit the identical matching (that is the contract, asserted \
-         above). The threads=1 sharded rows take the inline commit path — same code as \
-         sequential, so their throughput gap is pure facade overhead and the serve guard \
-         holds it within 15%. The threads=2 rows price the speculative ball-repair path \
-         ({} on this host): grouping, plan arenas, and in-order commit, \
-         with the hotspot skew showing up as fallbacks on hot groups while disjoint \
-         groups replay. (suite ran in {:.1}s)\n",
-        match hardware_threads() {
-            1 => "1 hardware thread".to_string(),
-            t => format!("{t} hardware threads"),
-        },
+         above). Every sharded batch commits through the sequential engine's per-op path, \
+         so the sharded rows' throughput gap is pure batching-facade overhead and the serve \
+         guard holds it within 15%. (suite ran in {:.1}s)\n",
         t0.elapsed().as_secs_f64()
     ));
     out
@@ -476,11 +424,6 @@ mod tests {
             p99_us: 9.5,
             recourse_total: 42,
             final_weight: 999,
-            replayed: 4800,
-            fallbacks: 200,
-            inline: 0,
-            overlap_groups: 77,
-            balls_parallel: 5000,
             steals: 3,
         }];
         let j = to_json(&rows, true);
@@ -490,7 +433,6 @@ mod tests {
         assert!(j.contains("\"threads\": 2"));
         assert!(j.contains("\"hardware_threads\":"));
         assert!(j.contains("best of 2 full replays"));
-        assert!(j.contains("\"overlap_groups\": 77"));
         assert!(j.contains("\"steals\": 3"));
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
     }
@@ -514,14 +456,10 @@ mod tests {
         assert_eq!(seq.final_weight, sh.final_weight);
         assert_eq!(seq.recourse_total, sh.recourse_total);
         assert!(sh.updates_per_sec > 0.0 && sh.p99_us >= sh.p50_us);
-        assert_eq!(sh.inline, 1_000, "threads=1 commits everything inline");
-        // the speculative path reports its grouping telemetry
+        // a two-worker pool commits the same state
         let sp = measure("sharded", 128, &w.ops, 4, 2, 64, 1);
         assert_eq!(sp.final_weight, seq.final_weight);
-        assert_eq!(sp.inline, 0);
-        assert_eq!(sp.balls_parallel, 1_000);
-        assert_eq!(sp.replayed + sp.fallbacks, 1_000);
-        assert!(sp.overlap_groups > 0);
+        assert_eq!(sp.recourse_total, seq.recourse_total);
     }
 
     #[test]
@@ -538,11 +476,6 @@ mod tests {
             p99_us: 2.0,
             recourse_total: 0,
             final_weight: 0,
-            replayed: 0,
-            fallbacks: 0,
-            inline: 0,
-            overlap_groups: 0,
-            balls_parallel: 0,
             steals: 0,
         };
         // within 15%: fine

@@ -9,10 +9,6 @@
 //!   one (out-of-range endpoint, zero weight, self-loop delete, delete of
 //!   a never-inserted edge). The engine must reject it with a typed
 //!   error and stay bit-identical to the run that never saw it.
-//! * **Worker panics** — one speculation group's worker panics
-//!   mid-ball-repair. The batch must isolate the panic, commit every
-//!   other group, and re-run the victim group through the sequential
-//!   fallback.
 //! * **Bit flips** — after a batch commits, one shard's matching entry
 //!   is corrupted (its stored weight no longer matches any live edge).
 //!   The invariant sentinel must catch it, quarantine the shard, and
@@ -45,35 +41,7 @@ fn due(every: u64, h: u64) -> bool {
 /// Per-site salts so the fault classes draw independent streams from one
 /// seed.
 const SALT_POISON: u64 = 0x706f_6973;
-const SALT_PANIC: u64 = 0x7061_6e63;
 const SALT_FLIP: u64 = 0x666c_6970;
-
-/// Message prefix of every panic the injector raises, so tooling can
-/// tell an injected panic from a real one.
-pub const INJECTED_PANIC_PREFIX: &str = "chaos:";
-
-/// Installs a process-wide panic hook that suppresses the default
-/// message-and-backtrace printing for panics *injected by the chaos
-/// harness* (payloads prefixed [`INJECTED_PANIC_PREFIX`]), delegating
-/// every other panic to the previously-installed hook unchanged.
-///
-/// Call once before a chaos run whose injected worker panics (caught per
-/// overlap group by the engine) would otherwise flood stderr. Real
-/// panics still report normally.
-pub fn silence_injected_panics() {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-        let injected = msg.is_some_and(|s| s.starts_with(INJECTED_PANIC_PREFIX));
-        if !injected {
-            previous(info);
-        }
-    }));
-}
 
 /// Cadences of the fault injector. All fault classes default to **off**
 /// (`0`); the sentinel spot-check defaults to every batch.
@@ -87,10 +55,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Poison roughly one in this many ops (0 = never).
     pub poison_every: u64,
-    /// Panic a speculation worker in roughly one in this many batches
-    /// (0 = never). Only the speculative path (≥ 2 workers) has workers
-    /// to panic; the one-worker inline path never sees this fault.
-    pub panic_every: u64,
     /// Corrupt a matching entry after roughly one in this many batches
     /// (0 = never).
     pub bitflip_every: u64,
@@ -105,7 +69,6 @@ impl Default for ChaosConfig {
         ChaosConfig {
             seed: 0,
             poison_every: 0,
-            panic_every: 0,
             bitflip_every: 0,
             sentinel_every: 1,
         }
@@ -130,12 +93,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Sets the worker-panic cadence in batches (0 = never).
-    pub fn with_panic_every(mut self, panic_every: u64) -> Self {
-        self.panic_every = panic_every;
-        self
-    }
-
     /// Sets the matching-corruption cadence in batches (0 = never).
     pub fn with_bitflip_every(mut self, bitflip_every: u64) -> Self {
         self.bitflip_every = bitflip_every;
@@ -150,15 +107,13 @@ impl ChaosConfig {
 }
 
 /// What the injector has done so far — and what the recovery machinery
-/// did about it. The first three are written by the injector itself; the
+/// did about it. The first two are written by the injector itself; the
 /// last two by the sentinel when it catches the damage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ChaosCounters {
     /// Ops replaced by malformed ones.
     pub poisoned_ops: u64,
-    /// Speculation workers panicked mid-ball-repair.
-    pub worker_panics: u64,
     /// Matching entries corrupted after a commit.
     pub bit_flips: u64,
     /// Sentinel spot-checks that found a violated invariant.
@@ -168,10 +123,10 @@ pub struct ChaosCounters {
 }
 
 impl ChaosCounters {
-    /// Total faults injected across all classes (poison + panic + flip) —
-    /// the `faults_injected` telemetry the chaos tests assert on.
+    /// Total faults injected across all classes (poison + flip) — the
+    /// `faults_injected` telemetry the chaos tests assert on.
     pub fn faults_injected(&self) -> u64 {
-        self.poisoned_ops + self.worker_panics + self.bit_flips
+        self.poisoned_ops + self.bit_flips
     }
 }
 
@@ -181,7 +136,7 @@ pub struct ChaosInjector {
     cfg: ChaosConfig,
     /// Global op index — the poison-decision key.
     ops_seen: u64,
-    /// Global batch index — the panic/flip/sentinel-decision key.
+    /// Global batch index — the flip/sentinel-decision key.
     batches_seen: u64,
     /// Fault and recovery telemetry.
     pub counters: ChaosCounters,
@@ -249,21 +204,9 @@ impl ChaosInjector {
     }
 
     /// Advances the batch stream; call exactly once per engine batch,
-    /// *before* the panic/flip/sentinel queries for that batch.
+    /// *before* the flip/sentinel queries for that batch.
     pub fn begin_batch(&mut self) {
         self.batches_seen += 1;
-    }
-
-    /// The overlap group (of `groups`) whose speculation worker panics
-    /// mid-ball-repair in the current batch, if the panic cadence fires.
-    pub fn panic_group(&mut self, groups: usize) -> Option<usize> {
-        let b = self.batches_seen;
-        let h = mix(self.cfg.seed ^ SALT_PANIC ^ b);
-        if groups == 0 || !due(self.cfg.panic_every, h) {
-            return None;
-        }
-        self.counters.worker_panics += 1;
-        Some((mix(h) % groups as u64) as usize)
     }
 
     /// The victim index (into a list of `candidates` matched vertices)
@@ -340,29 +283,19 @@ mod tests {
 
     #[test]
     fn batch_faults_fire_on_cadence() {
-        let cfg = ChaosConfig::new()
-            .with_panic_every(2)
-            .with_bitflip_every(3)
-            .with_seed(9);
+        let cfg = ChaosConfig::new().with_bitflip_every(3).with_seed(9);
         let mut inj = ChaosInjector::new(cfg);
-        let mut panics = 0;
         let mut flips = 0;
         for _ in 0..60 {
             inj.begin_batch();
-            if let Some(gid) = inj.panic_group(5) {
-                assert!(gid < 5);
-                panics += 1;
-            }
             if let Some(vi) = inj.bitflip_victim(7) {
                 assert!(vi < 7);
                 flips += 1;
             }
         }
-        assert!(panics > 0 && panics < 60, "panic cadence 2: got {panics}");
         assert!(flips > 0 && flips < 60, "flip cadence 3: got {flips}");
-        assert_eq!(inj.counters.worker_panics, panics);
         assert_eq!(inj.counters.bit_flips, flips);
-        assert_eq!(inj.counters.faults_injected(), panics + flips);
+        assert_eq!(inj.counters.faults_injected(), flips);
     }
 
     #[test]
@@ -372,7 +305,6 @@ mod tests {
         for i in 0..32 {
             assert!(inj.poison_op(&g, UpdateOp::insert(0, 1, 1)).is_none());
             inj.begin_batch();
-            assert!(inj.panic_group(4).is_none());
             assert!(inj.bitflip_victim(4).is_none());
             assert!(inj.sentinel_due(), "default sentinel cadence is 1");
             let _ = i;

@@ -128,19 +128,13 @@ impl DynGraph {
 
     /// The live edge in slab slot `id` (must be live).
     #[inline]
-    pub(crate) fn edge_at(&self, id: u32) -> Edge {
+    fn edge_at(&self, id: u32) -> Edge {
         debug_assert_ne!(self.eu[id as usize], TOMBSTONE, "slot {id} is dead");
         Edge::new(
             self.eu[id as usize],
             self.ev[id as usize],
             self.ew[id as usize],
         )
-    }
-
-    /// The live slab ids incident to `v`, in insertion order.
-    #[inline]
-    pub(crate) fn adj_ids(&self, v: Vertex) -> &[u32] {
-        &self.adj[v as usize]
     }
 
     /// Inserts a live edge and returns its slab id.
@@ -173,15 +167,8 @@ impl DynGraph {
         Ok(id)
     }
 
-    /// Validates an insertion without mutating (shared with the sharded
-    /// engine's speculation path, which must reject exactly the ops the
-    /// real insertion would).
-    pub(crate) fn check_insert(
-        &self,
-        u: Vertex,
-        v: Vertex,
-        weight: u64,
-    ) -> Result<(), DynamicError> {
+    /// Validates an insertion without mutating.
+    fn check_insert(&self, u: Vertex, v: Vertex, weight: u64) -> Result<(), DynamicError> {
         for x in [u, v] {
             if (x as usize) >= self.n {
                 return Err(DynamicError::VertexOutOfRange {
@@ -197,23 +184,6 @@ impl DynGraph {
             return Err(DynamicError::ZeroWeight { u, v });
         }
         Ok(())
-    }
-
-    /// The slab id and edge that [`DynGraph::delete`] would remove for
-    /// `{u, v}` — the most recently inserted live copy — without
-    /// mutating.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors `delete` would return.
-    pub(crate) fn peek_delete(&self, u: Vertex, v: Vertex) -> Result<(u32, Edge), DynamicError> {
-        self.check_delete(u, v)?;
-        let pos = self.adj[u as usize]
-            .iter()
-            .rposition(|&id| self.eu[id as usize] == v || self.ev[id as usize] == v)
-            .ok_or(DynamicError::EdgeNotFound { u, v })?;
-        let id = self.adj[u as usize][pos];
-        Ok((id, self.edge_at(id)))
     }
 
     /// Validates a deletion's endpoints without scanning for the edge.
@@ -448,21 +418,6 @@ mod tests {
         g.insert(1, 2, 6).unwrap();
         let ws: Vec<u64> = g.incident(1).map(|e| e.weight).collect();
         assert_eq!(ws, vec![4, 6]);
-    }
-
-    #[test]
-    fn peek_delete_previews_the_lifo_copy() {
-        let mut g = DynGraph::new(3);
-        g.insert(0, 1, 1).unwrap();
-        let heavy = g.insert(1, 0, 9).unwrap();
-        let (id, e) = g.peek_delete(0, 1).unwrap();
-        assert_eq!(id, heavy);
-        assert_eq!(e.weight, 9);
-        assert_eq!(g.delete(0, 1).unwrap(), e, "peek agrees with delete");
-        assert_eq!(
-            g.peek_delete(1, 2),
-            Err(DynamicError::EdgeNotFound { u: 1, v: 2 })
-        );
     }
 
     #[test]

@@ -221,6 +221,29 @@ impl BatchStats {
     }
 }
 
+/// Applies `ops` in order through `apply`, stopping at the first error —
+/// the one batch loop of every engine. The error carries the applied
+/// prefix's count and stats.
+pub(crate) fn apply_each(
+    ops: &[UpdateOp],
+    mut apply: impl FnMut(UpdateOp) -> Result<UpdateStats, DynamicError>,
+) -> Result<BatchStats, BatchError> {
+    let mut out = BatchStats::default();
+    for (i, &op) in ops.iter().enumerate() {
+        match apply(op) {
+            Ok(s) => out.absorb(s),
+            Err(source) => {
+                return Err(BatchError {
+                    applied: i,
+                    stats: out,
+                    source,
+                })
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// A batch stopped at a malformed operation. `applied` says how many of
 /// the batch's updates were applied (and remain applied) before the
 /// offending one — batch application is not transactional, and without
@@ -294,7 +317,8 @@ impl RebuildKit {
 /// Fact 1.3 floor.
 ///
 /// Set with [`DynamicMatcher::with_policy`]. The sharded engine has no
-/// policy: its speculation runs only the eager repair.
+/// policy: its batches commit through the eager repair, and its degraded
+/// mode defers exactly as `Window` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairPolicy {
     /// Repair every update to the full invariant before returning: the
@@ -352,24 +376,19 @@ pub enum RepairPolicy {
 /// live graph, the maintained matching, the sequential repair kit, the
 /// pending-dirty set of deferred repairs, the rebuild machinery, and the
 /// lifetime counters. [`DynamicMatcher`] is a thin wrapper over one of
-/// these; the sharded engine's commit fallback, inline path and degraded
-/// mode run the very same methods — which is what makes "bit-identical
-/// to sequential" hold by construction rather than by re-implementation.
+/// these; the sharded engine's batch commit and degraded mode run the
+/// very same methods — which is what makes "bit-identical to sequential"
+/// hold by construction rather than by re-implementation.
 #[derive(Debug)]
 pub(crate) struct EngineCore {
     pub g: DynGraph,
     pub m: Matching,
     pub cfg: DynamicConfig,
     pub pool: WorkerPool,
-    /// The sequential repair kit (no read tracking).
     pub kit: RepairKit,
     pub rebuild: RebuildKit,
     pub counters: DynamicCounters,
     pub updates_since_rebuild: usize,
-    /// Vertices written by the most recent [`EngineCore::repair_one`]:
-    /// the op endpoints plus every journal-edge endpoint. The sharded
-    /// commit uses it to invalidate other groups' speculation.
-    pub write_buf: Vec<Vertex>,
     /// Deterministic fault injector, test/chaos-bench only (`None` in
     /// production). Installed via `ShardedMatcher::install_chaos`.
     pub chaos: Option<Box<ChaosInjector>>,
@@ -394,11 +413,10 @@ impl EngineCore {
             m: Matching::new(n),
             pool: WorkerPool::new(cfg.threads),
             cfg,
-            kit: RepairKit::new(false),
+            kit: RepairKit::new(),
             rebuild: RebuildKit::new(),
             counters: DynamicCounters::default(),
             updates_since_rebuild: 0,
-            write_buf: Vec::new(),
             chaos: None,
             pending: Vec::new(),
             pending_ops: 0,
@@ -440,48 +458,34 @@ impl EngineCore {
         Ok(keep_valid(&mut self.kit, &self.g, &mut self.m, op).unwrap_or(0))
     }
 
-    /// Structural change + eager local repair + recourse accounting for
-    /// one op. Fills [`EngineCore::write_buf`] and leaves the lifetime
-    /// counters untouched (see [`EngineCore::finish`]).
-    pub fn repair_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
+    /// One eager update — structural change, local repair, recourse
+    /// accounting, counters, and the rebuild epoch if one is due. The
+    /// sequential engine and every sharded batch commit through it.
+    pub fn apply_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
         self.kit.begin_update();
         self.g.apply(op)?;
         let fix = repair_op(&mut self.kit, &self.g, &mut self.m, op, self.cfg.max_len);
-        // write set is read off the journal *before* net_recourse drains it
-        let (u, v) = op.endpoints();
-        self.write_buf.clear();
-        self.write_buf.extend([u, v]);
-        for &(e, _) in &self.kit.journal {
-            self.write_buf.extend([e.u, e.v]);
-        }
         // net recourse of this update's own repairs, before any epoch
         // (which reports its churn as a whole-matching diff instead)
-        Ok(UpdateStats {
+        let mut stats = UpdateStats {
             gain: fix.gain,
             recourse: self.kit.net_recourse(),
             augmentations: fix.augmentations,
             rebuilt: false,
-        })
+        };
+        self.finish(&mut stats);
+        Ok(stats)
     }
 
     /// Counts one applied update and runs the rebuild epoch if due,
-    /// folding the epoch's churn into `stats`. Shared verbatim by the
-    /// sequential apply, the sharded replay, and the sharded fallback, so
-    /// counters and rebuild timing agree bit-for-bit across all paths.
-    pub fn finish(&mut self, stats: &mut UpdateStats) {
+    /// folding the epoch's churn into `stats`. Shared by the eager and the
+    /// budgeted update, so counters and rebuild timing agree bit-for-bit.
+    fn finish(&mut self, stats: &mut UpdateStats) {
         self.counters.updates_applied += 1;
         self.counters.augmentations_applied += stats.augmentations;
         self.updates_since_rebuild += 1;
         self.rebuild_if_due(stats);
         self.counters.recourse_total += stats.recourse;
-    }
-
-    /// One fully-sequential eager update: repair + counters + rebuild
-    /// check.
-    pub fn apply_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
-        let mut stats = self.repair_one(op)?;
-        self.finish(&mut stats);
-        Ok(stats)
     }
 
     /// One update under a work budget: the validity rule, then at most
@@ -870,20 +874,7 @@ impl DynamicMatcher {
     /// malformed one (those remain applied — batches are not
     /// transactional).
     pub fn apply_all(&mut self, ops: &[UpdateOp]) -> Result<BatchStats, BatchError> {
-        let mut out = BatchStats::default();
-        for (i, &op) in ops.iter().enumerate() {
-            match self.apply(op) {
-                Ok(s) => out.absorb(s),
-                Err(source) => {
-                    return Err(BatchError {
-                        applied: i,
-                        stats: out,
-                        source,
-                    })
-                }
-            }
-        }
-        Ok(out)
+        apply_each(ops, |op| self.apply(op))
     }
 }
 

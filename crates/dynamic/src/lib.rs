@@ -34,6 +34,12 @@
 //! competitor and the [`RecomputeBaseline`] — behind one surface, with
 //! one provided [`UpdateEngine::certify_checkpoint`].
 //!
+//! The [`ShardedMatcher`] is the serve-path engine: batched ingest with a
+//! write-ahead log, seeded fault injection ([`ChaosInjector`]) and an
+//! invariant sentinel around each batch, whose ops commit through the
+//! same sequential per-op path as [`DynamicMatcher`] — so it is
+//! bit-identical to it for any shard, thread, or batch count.
+//!
 //! For batched update epochs, the engine periodically runs a *rebuild*:
 //! one or more rounds of Algorithm 3's weight-class sweep
 //! ([`wmatch_core::main_alg::improve_matching_offline_pooled`]) on the
@@ -56,6 +62,7 @@
 //! assert_eq!(eng.matching().weight(), 5); // repaired from {0,1}
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -68,12 +75,11 @@ pub mod error;
 pub mod randomwalk;
 mod repair;
 pub mod sharded;
-mod spec;
 pub mod update;
 pub mod wal;
 
 pub use certifier::CheckpointCertificate;
-pub use chaos::{silence_injected_panics, ChaosConfig, ChaosCounters, ChaosInjector};
+pub use chaos::{ChaosConfig, ChaosCounters, ChaosInjector};
 pub use degraded::{DegradedStats, RetryPolicy, ServeDriver};
 pub use dyngraph::DynGraph;
 pub use engine::{

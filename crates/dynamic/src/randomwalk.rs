@@ -139,7 +139,7 @@ impl RandomWalkMatcher {
             g: DynGraph::new(n),
             m: Matching::new(n),
             cfg,
-            kit: RepairKit::new(false),
+            kit: RepairKit::new(),
             counters: DynamicCounters::default(),
             walks_taken: 0,
             walk_hits: 0,

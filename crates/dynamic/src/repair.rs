@@ -1,96 +1,25 @@
 //! The shared repair kernel of the dynamic engines.
 //!
-//! [`DynamicMatcher`](crate::DynamicMatcher) repairs its matching against
-//! the real [`DynGraph`]/[`Matching`] pair; the sharded engine
-//! ([`ShardedMatcher`](crate::ShardedMatcher)) runs the *same* repair
-//! against a speculative overlay (frozen pre-batch state plus the shard's
-//! own pending changes). This module factors the repair into a
-//! [`RepairKit`] generic over two tiny traits — [`RepairGraph`] for
-//! incidence scans and [`RepairMatching`] for matched-state reads and
-//! writes — so both paths execute literally the same code and stay
-//! bit-identical by construction.
+//! Every engine in the crate — [`DynamicMatcher`](crate::DynamicMatcher)
+//! under each repair policy, the [`ShardedMatcher`](crate::ShardedMatcher)
+//! and the [`RandomWalkMatcher`](crate::RandomWalkMatcher) — repairs its
+//! matching through one [`RepairKit`] working directly on the live
+//! [`DynGraph`] and [`Matching`], so every path executes literally the
+//! same code.
 //!
-//! Two cross-cutting concerns live here as well:
-//!
-//! * **Recourse accounting.** Every matching mutation the kit performs is
-//!   journalled as `(edge, inserted)`. [`RepairKit::net_recourse`] folds
-//!   the journal into the *net* number of matching edges changed — an
-//!   edge swapped out and back in within one update counts zero — which
-//!   is the one recourse definition the whole workspace reports (the same
-//!   symmetric-difference measure the rebuild epochs and the recompute
-//!   baseline use).
-//! * **Read tracing.** When constructed with `track_reads`, the kit
-//!   records every vertex whose adjacency or matched state a repair
-//!   depended on. The sharded engine replays a speculated plan only if no
-//!   earlier-committing update wrote to any vertex the plan read.
+//! **Recourse accounting** lives here as well. Every matching mutation
+//! the kit performs is journalled as `(edge, inserted)`.
+//! [`RepairKit::net_recourse`] folds the journal into the *net* number of
+//! matching edges changed — an edge swapped out and back in within one
+//! update counts zero — which is the one recourse definition the whole
+//! workspace reports (the same symmetric-difference measure the rebuild
+//! epochs and the recompute baseline use).
 
 use wmatch_graph::aug_search::AugSearcher;
-use wmatch_graph::scratch::EpochSet;
 use wmatch_graph::{Edge, Graph, Matching, Scratch, Vertex};
 
 use crate::dyngraph::DynGraph;
 use crate::update::UpdateOp;
-
-/// Incidence reads the repair ball needs from a graph.
-///
-/// Implemented by the real [`DynGraph`] and by the sharded engine's
-/// speculative view (frozen base plus shard-local delta).
-pub(crate) trait RepairGraph {
-    /// Number of vertices.
-    fn vertex_count(&self) -> usize;
-    /// Calls `f` for every live edge incident to `v`, in insertion order
-    /// (with multiplicity for parallel edges) — the determinism contract
-    /// every traversal in the workspace is built on.
-    fn for_each_incident(&self, v: Vertex, f: &mut dyn FnMut(Edge));
-    /// Whether a live copy of `{u, v}` with exactly this weight exists.
-    fn has_live_copy(&self, u: Vertex, v: Vertex, weight: u64) -> bool;
-}
-
-impl RepairGraph for DynGraph {
-    fn vertex_count(&self) -> usize {
-        DynGraph::vertex_count(self)
-    }
-
-    fn for_each_incident(&self, v: Vertex, f: &mut dyn FnMut(Edge)) {
-        for e in self.incident(v) {
-            f(e);
-        }
-    }
-
-    fn has_live_copy(&self, u: Vertex, v: Vertex, weight: u64) -> bool {
-        DynGraph::has_live_copy(self, u, v, weight)
-    }
-}
-
-/// Matched-state reads and writes the repair performs on a matching.
-///
-/// Implemented by the real [`Matching`] and by the sharded engine's
-/// overlay view. Writes are infallible by contract: the repair only
-/// removes edges it just read as matched and only inserts into endpoints
-/// it just freed.
-pub(crate) trait RepairMatching {
-    /// The matched edge at `v`, if any.
-    fn matched_edge(&self, v: Vertex) -> Option<Edge>;
-    /// Inserts `e`; both endpoints must be free.
-    fn do_insert(&mut self, e: Edge);
-    /// Removes and returns the matched edge `{u, v}`; must be matched.
-    fn do_remove(&mut self, u: Vertex, v: Vertex) -> Edge;
-}
-
-impl RepairMatching for Matching {
-    fn matched_edge(&self, v: Vertex) -> Option<Edge> {
-        Matching::matched_edge(self, v)
-    }
-
-    fn do_insert(&mut self, e: Edge) {
-        self.insert(e).expect("repair inserts into freed endpoints");
-    }
-
-    fn do_remove(&mut self, u: Vertex, v: Vertex) -> Edge {
-        self.remove_pair(u, v)
-            .expect("repair removes matched edges")
-    }
-}
 
 /// Outcome of one repair convergence loop (recourse is *not* here — it
 /// comes from the journal via [`RepairKit::net_recourse`], so every
@@ -105,8 +34,8 @@ pub(crate) struct FixOutcome {
 
 /// All reusable state of one repair executor: the exhaustive searcher,
 /// the epoch-stamped ball scratch, the relabelled sub-instance buffers,
-/// the mutation journal, and (optionally) the read trace. Everything is
-/// persistent — at steady state a repair allocates nothing.
+/// and the mutation journal. Everything is persistent — at steady state a
+/// repair allocates nothing.
 #[derive(Debug)]
 pub(crate) struct RepairKit {
     pub searcher: AugSearcher,
@@ -124,16 +53,11 @@ pub(crate) struct RepairKit {
     /// Matching mutations of the current update, in order: `(edge, true)`
     /// for inserts, `(edge, false)` for removals.
     pub journal: Vec<(Edge, bool)>,
-    track_reads: bool,
-    /// Vertices read since [`RepairKit::begin_read_window`], deduplicated.
-    pub read: Vec<Vertex>,
-    read_mark: EpochSet,
 }
 
 impl RepairKit {
-    /// A fresh kit. `track_reads` enables the read trace (the sharded
-    /// speculation path); the sequential engine leaves it off.
-    pub fn new(track_reads: bool) -> Self {
+    /// A fresh kit.
+    pub fn new() -> Self {
         RepairKit {
             searcher: AugSearcher::new(),
             scratch: Scratch::new(),
@@ -147,35 +71,12 @@ impl RepairKit {
             added: Vec::new(),
             removed: Vec::new(),
             journal: Vec::new(),
-            track_reads,
-            read: Vec::new(),
-            read_mark: EpochSet::new(),
         }
     }
 
-    /// Starts a new update: clears the mutation journal. (The read trace
-    /// is *not* cleared — it accumulates per read window.)
+    /// Starts a new update: clears the mutation journal.
     pub fn begin_update(&mut self) {
         self.journal.clear();
-    }
-
-    /// Starts a new read window over `n` vertices, clearing the read
-    /// trace (epoch-stamped, so the clear is O(1)). The speculation path
-    /// opens one window per overlap group, so a group's trace covers
-    /// everything its speculation depended on and nothing more.
-    pub fn begin_read_window(&mut self, n: usize) {
-        self.read.clear();
-        self.read_mark.ensure(n);
-        self.read_mark.clear();
-    }
-
-    /// Records that the repair read the state of `v` (no-op unless the
-    /// kit tracks reads).
-    #[inline]
-    pub fn note_read(&mut self, v: Vertex) {
-        if self.track_reads && self.read_mark.insert(v) {
-            self.read.push(v);
-        }
     }
 
     /// Folds (and drains) the journal into the net number of matching
@@ -219,11 +120,7 @@ impl RepairKit {
     /// remains in the ball around the (accumulating) dirty set, restoring
     /// the bounded-augmentation invariant. Clears the dirty set on
     /// return; every matching mutation is journalled.
-    pub fn fix_up<G, M>(&mut self, g: &G, m: &mut M, max_len: usize) -> FixOutcome
-    where
-        G: RepairGraph + ?Sized,
-        M: RepairMatching + ?Sized,
-    {
+    pub fn fix_up(&mut self, g: &DynGraph, m: &mut Matching, max_len: usize) -> FixOutcome {
         self.fix_up_budgeted(g, m, max_len, usize::MAX).0
     }
 
@@ -234,17 +131,13 @@ impl RepairKit {
     /// so far), so the caller can carry it into a later repair and finish
     /// the convergence then. On a clean finish the dirty set is cleared,
     /// exactly as `fix_up`.
-    pub fn fix_up_budgeted<G, M>(
+    pub fn fix_up_budgeted(
         &mut self,
-        g: &G,
-        m: &mut M,
+        g: &DynGraph,
+        m: &mut Matching,
         max_len: usize,
         budget: usize,
-    ) -> (FixOutcome, bool)
-    where
-        G: RepairGraph + ?Sized,
-        M: RepairMatching + ?Sized,
-    {
+    ) -> (FixOutcome, bool) {
         let mut out = FixOutcome::default();
         loop {
             if out.augmentations as usize >= budget {
@@ -258,13 +151,15 @@ impl RepairKit {
             debug_assert!(gain > 0, "only positive augmentations are applied");
             for i in 0..self.removed.len() {
                 let e = self.removed[i];
-                let got = m.do_remove(e.u, e.v);
+                let got = m
+                    .remove_pair(e.u, e.v)
+                    .expect("repair removes matched edges");
                 debug_assert_eq!(got.key(), e.key());
                 self.journal.push((got, false));
             }
             for i in 0..self.added.len() {
                 let e = self.added[i];
-                m.do_insert(e);
+                m.insert(e).expect("repair inserts into freed endpoints");
                 self.journal.push((e, true));
             }
             out.gain += gain;
@@ -291,11 +186,12 @@ impl RepairKit {
     /// searcher, and the winner is unmapped into `self.added` /
     /// `self.removed`. Returns the gain, or `None` when the invariant
     /// holds.
-    fn best_local_augmentation<G, M>(&mut self, g: &G, m: &M, max_len: usize) -> Option<i128>
-    where
-        G: RepairGraph + ?Sized,
-        M: RepairMatching + ?Sized,
-    {
+    fn best_local_augmentation(
+        &mut self,
+        g: &DynGraph,
+        m: &Matching,
+        max_len: usize,
+    ) -> Option<i128> {
         let n = g.vertex_count();
         self.scratch.begin(n);
         let RepairKit {
@@ -310,9 +206,6 @@ impl RepairKit {
             sub_removed,
             added,
             removed,
-            track_reads,
-            read,
-            read_mark,
             ..
         } = self;
         let ids = &mut scratch.count; // global vertex -> local id
@@ -337,14 +230,14 @@ impl RepairKit {
             if depth as usize >= max_len {
                 continue;
             }
-            g.for_each_incident(v, &mut |e| {
+            for e in g.incident(v) {
                 let w = e.other(v);
                 if !ids.contains(w) {
                     ids.insert(w, local_to_global.len() as u32);
                     local_to_global.push(w);
                     queue.push((w, depth + 1));
                 }
-            });
+            }
         }
         // extend by mates so neighbourhood gains are exact at the border
         let ball_len = local_to_global.len();
@@ -362,26 +255,17 @@ impl RepairKit {
         if sub_n == 0 {
             return None;
         }
-        // everything in the extended ball was read: its adjacency feeds
-        // the sub-instance and its matched state the warm matching
-        if *track_reads {
-            for &v in local_to_global.iter() {
-                if read_mark.insert(v) {
-                    read.push(v);
-                }
-            }
-        }
         // relabelled sub-instance: every live edge with both endpoints in
         // the extended set, added once from its smaller-local endpoint
         sub_g.reset(sub_n);
         for (li, &v) in local_to_global.iter().enumerate() {
-            g.for_each_incident(v, &mut |e| {
+            for e in g.incident(v) {
                 if let Some(lw) = ids.get(e.other(v)) {
                     if (lw as usize) > li {
                         sub_g.add_edge(li as Vertex, lw, e.weight);
                     }
                 }
-            });
+            }
         }
         sub_m.reset(sub_n);
         for (li, &v) in local_to_global.iter().enumerate() {
@@ -429,26 +313,25 @@ impl RepairKit {
 ///
 /// Both mutations are journalled. Returns the weight change, or `None`
 /// when the matching was left as it was.
-pub(crate) fn keep_valid<G, M>(kit: &mut RepairKit, g: &G, m: &mut M, op: UpdateOp) -> Option<i128>
-where
-    G: RepairGraph + ?Sized,
-    M: RepairMatching + ?Sized,
-{
+pub(crate) fn keep_valid(
+    kit: &mut RepairKit,
+    g: &DynGraph,
+    m: &mut Matching,
+    op: UpdateOp,
+) -> Option<i128> {
     let (u, v) = op.endpoints();
-    kit.note_read(u);
-    kit.note_read(v);
     let me = m.matched_edge(u).filter(|me| me.other(u) == v)?;
     match op {
         UpdateOp::Insert { weight, .. } if weight > me.weight => {
-            let old = m.do_remove(u, v);
+            let old = m.remove_pair(u, v).expect("the pair is matched");
             kit.journal.push((old, false));
             let new = Edge::new(u, v, weight);
-            m.do_insert(new);
+            m.insert(new).expect("endpoints just freed");
             kit.journal.push((new, true));
             Some(weight as i128 - old.weight as i128)
         }
         UpdateOp::Delete { .. } if !g.has_live_copy(u, v, me.weight) => {
-            let removed = m.do_remove(u, v);
+            let removed = m.remove_pair(u, v).expect("the pair is matched");
             kit.journal.push((removed, false));
             Some(-(removed.weight as i128))
         }
@@ -462,17 +345,13 @@ where
 /// insert is searched; a delete can only open one by freeing its
 /// endpoints, so a delete is searched only when its matched copy died —
 /// deleting an unmatched copy only shrinks gains, and is free.
-pub(crate) fn repair_op<G, M>(
+pub(crate) fn repair_op(
     kit: &mut RepairKit,
-    g: &G,
-    m: &mut M,
+    g: &DynGraph,
+    m: &mut Matching,
     op: UpdateOp,
     max_len: usize,
-) -> FixOutcome
-where
-    G: RepairGraph + ?Sized,
-    M: RepairMatching + ?Sized,
-{
+) -> FixOutcome {
     let changed = keep_valid(kit, g, m, op);
     let mut out = FixOutcome {
         gain: changed.unwrap_or(0),
@@ -495,7 +374,7 @@ mod tests {
 
     #[test]
     fn net_recourse_cancels_swap_back() {
-        let mut kit = RepairKit::new(false);
+        let mut kit = RepairKit::new();
         kit.begin_update();
         let e = Edge::new(0, 1, 5);
         let f = Edge::new(1, 2, 7);
@@ -520,7 +399,7 @@ mod tests {
         g.insert(1, 2, 6).unwrap();
         g.insert(2, 3, 4).unwrap();
         let mut m = Matching::new(4);
-        let mut kit = RepairKit::new(false);
+        let mut kit = RepairKit::new();
         kit.begin_update();
         kit.dirty.extend([0u32, 1, 2, 3]);
         let (out, exhausted) = kit.fix_up_budgeted(&g, &mut m, 3, 1);
@@ -541,23 +420,5 @@ mod tests {
         assert_eq!(out.augmentations, 0);
         assert_eq!(kit.dirty, vec![0]);
         kit.dirty.clear();
-    }
-
-    #[test]
-    fn read_trace_dedups_and_respects_window() {
-        let mut kit = RepairKit::new(true);
-        kit.begin_read_window(8);
-        kit.note_read(3);
-        kit.note_read(3);
-        kit.note_read(5);
-        assert_eq!(kit.read, vec![3, 5]);
-        kit.begin_read_window(8);
-        assert!(kit.read.is_empty());
-        kit.note_read(3);
-        assert_eq!(kit.read, vec![3]);
-        let mut off = RepairKit::new(false);
-        off.begin_read_window(8);
-        off.note_read(3);
-        assert!(off.read.is_empty(), "tracking disabled records nothing");
     }
 }

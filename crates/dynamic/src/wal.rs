@@ -158,7 +158,6 @@ impl Wal {
         core.m.copy_from(&self.snap_m);
         core.counters = self.snap_counters;
         core.updates_since_rebuild = self.snap_since_rebuild;
-        core.write_buf.clear();
         core.pending.clear();
         core.pending_ops = 0;
     }

@@ -2,9 +2,9 @@
 //! allocation-free at steady state: once a warm-up cycle has sized every
 //! persistent buffer (slab, adjacency, repair-kit arenas, recycled CSR
 //! views, rebuild snapshot, pending-repair set), re-applying the
-//! identical op cycle — running restore-only rebuild epochs, or deferring
-//! repairs under a budget or window policy and flushing them — must not
-//! touch the allocator.
+//! identical op cycle — running restore-only rebuild epochs, deferring
+//! repairs under a budget or window policy and flushing them, or feeding
+//! the sharded engine's batch path — must not touch the allocator.
 //!
 //! This file holds a single test so no concurrent test thread can
 //! perturb the counter (the same discipline as the graph crate's
@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wmatch_dynamic::{DynamicConfig, DynamicMatcher, RepairPolicy, UpdateOp};
+use wmatch_dynamic::{DynamicConfig, DynamicMatcher, RepairPolicy, ShardedMatcher, UpdateOp};
 
 struct CountingAllocator;
 
@@ -166,4 +166,25 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
              ({during} allocations)"
         );
     }
+
+    // phase 4: the sharded batch path — `apply_all` chunks the cycle into
+    // batches that each commit through the sequential per-op path, so the
+    // batching itself must not allocate either (no WAL, no chaos)
+    let cycle = churn_cycle();
+    let mut eng = ShardedMatcher::new(n, DynamicConfig::default(), 4).with_batch_size(8);
+    eng.apply_all(&base).expect("base ops are well-formed");
+    let before_warm = eng.matching().to_edges();
+    eng.apply_all(&cycle).expect("cycle ops are well-formed");
+    assert_eq!(
+        eng.matching().to_edges(),
+        before_warm,
+        "the cycle is state-neutral on the sharded engine too"
+    );
+    let before = allocations();
+    eng.apply_all(&cycle).expect("cycle ops are well-formed");
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "warmed-up sharded batches must not allocate ({during} allocations)"
+    );
 }

@@ -434,8 +434,8 @@ fn sharded_boundary_churn_matches_sequential_with_floor_checkpoints() {
         .with_rebuild_threshold(1_000)
         .with_seed(11);
     let mut seq = DynamicMatcher::new(N, cfg);
-    // threads = 2 keeps the speculative path engaged (one worker would
-    // take the inline bypass and never produce plans to replay)
+    // threads = 2 gives the rebuild epochs a two-worker pool, which must
+    // not change the committed state either
     let mut sh = ShardedMatcher::new(N, cfg.with_threads(2), 8).with_batch_size(128);
     for (step, chunk) in ops.chunks(500).enumerate() {
         seq.apply_all(chunk).expect("well-formed");
@@ -448,17 +448,11 @@ fn sharded_boundary_churn_matches_sequential_with_floor_checkpoints() {
         assert_eq!(seq.counters(), sh.counters(), "chunk {step}");
         assert_oracle_floor(&seq, &format!("boundary chunk {step}"));
     }
-    assert!(
-        sh.replayed() > 0,
-        "some plans must commit by replay even under boundary pressure"
-    );
 }
 
-/// The ball-grouping adversary: every op of every batch touches a shared
-/// hub vertex, so union-find must collapse each batch to a *single*
-/// overlap group (speculated sequentially, like it or not) and the
-/// committed state must still match the sequential engine exactly, floor
-/// checkpoints included.
+/// The hub adversary: every op of every batch touches a shared hub
+/// vertex, and the committed state must still match the sequential engine
+/// exactly, floor checkpoints included.
 #[test]
 fn hub_vertex_batches_collapse_to_one_group_and_agree() {
     const N: usize = 48;
@@ -496,30 +490,4 @@ fn hub_vertex_batches_collapse_to_one_group_and_agree() {
         assert_eq!(seq.counters(), sh.counters(), "hub chunk {step}");
         assert_oracle_floor(&seq, &format!("hub chunk {step}"));
     }
-    // ops with min endpoint < HUB route to other shards than HUB's, but
-    // *within* a batch everything shares the hub only when the hub is the
-    // min endpoint; ops {v, HUB} with v < HUB group by v's shard. Count
-    // the exact expected groups per batch instead of assuming 1:
-    // every op still touches HUB, so any two ops in the same *shard*
-    // share it — groups per batch = number of distinct owning shards.
-    let shard_of = |v: Vertex| (v as usize).min(N - 1) * 8 / N;
-    let mut expected_groups = 0u64;
-    for chunk in ops.chunks(BATCH) {
-        let mut seen = [false; 8];
-        for op in chunk {
-            let (u, v) = match *op {
-                UpdateOp::Insert { u, v, .. } => (u, v),
-                UpdateOp::Delete { u, v } => (u, v),
-            };
-            seen[shard_of(u.min(v))] = true;
-        }
-        expected_groups += seen.iter().filter(|&&s| s).count() as u64;
-    }
-    assert_eq!(
-        sh.overlap_groups(),
-        expected_groups,
-        "every batch must collapse to one group per touched shard"
-    );
-    assert_eq!(sh.balls_parallel(), OPS as u64);
-    assert_eq!(sh.replayed() + sh.fallbacks(), OPS as u64);
 }

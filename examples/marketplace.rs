@@ -1,8 +1,8 @@
 //! A million-user marketplace as a matching service: buyers and sellers
 //! stream offers in, listings expire, and the dispatcher keeps a
-//! certified near-optimal assignment live the whole time — sharded, so
-//! ingest batches can be speculated in parallel while the committed
-//! state stays bit-identical to a sequential replay.
+//! certified near-optimal assignment live the whole time — sharded and
+//! write-ahead logged, with the committed state bit-identical to a
+//! sequential replay.
 //!
 //! Drives `wmatch_dynamic::ShardedMatcher` directly over a
 //! hotspot-skewed sliding-window stream (a few hot users dominate the
@@ -14,8 +14,8 @@
 //! progress ([`wmatch_dynamic::BatchStats`]), retries transient
 //! rejections with bounded backoff, skips malformed ops, and keeps the
 //! marketplace live. Pass `chaos` to inject a deterministic fault storm
-//! (poisoned ops + a mid-repair worker panic per batch) and watch the
-//! service degrade and recover instead of falling over.
+//! (about one poisoned op in 97) and watch the service degrade and
+//! recover instead of falling over.
 //!
 //! ```text
 //! cargo run --release -p wmatch-examples --example marketplace            # 10⁶ users
@@ -57,30 +57,21 @@ fn main() {
     println!("marketplace: {n} users, {total_ops} updates, {shards} shards, batch {batch}");
     println!("(offers expire after a {window}-listing window; hot users dominate the stream)");
     if chaos {
-        println!("chaos: poisoning ~1% of ops and panicking a speculation worker every ~4 batches");
+        println!("chaos: poisoning ~1% of ops");
     }
     println!();
     println!(
-        "{:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>12}",
-        "ops", "updates/s", "p50 µs", "p99 µs", "value", "fallbacks", "recourse/op"
+        "{:>10} {:>12} {:>10} {:>10} {:>10} {:>12}",
+        "ops", "updates/s", "p50 µs", "p99 µs", "value", "recourse/op"
     );
 
-    // chaos runs multi-threaded so the worker-panic fault class (caught
-    // per overlap group, re-run sequentially) actually exercises
-    let threads = if chaos { 4 } else { 1 };
-    let mut eng = ShardedMatcher::new(
-        n,
-        DynamicConfig::default().with_seed(7).with_threads(threads),
-        shards,
-    )
-    .with_batch_size(batch);
+    let mut eng = ShardedMatcher::new(n, DynamicConfig::default().with_seed(7), shards)
+        .with_batch_size(batch);
     if chaos {
-        wmatch_dynamic::silence_injected_panics();
         eng.install_chaos(
             ChaosConfig::new()
                 .with_seed(0xC4405)
                 .with_poison_every(97)
-                .with_panic_every(4)
                 .with_bitflip_every(0),
         );
     }
@@ -92,7 +83,6 @@ fn main() {
     let mut interval_busy = 0.0f64;
     let mut interval_ops = 0usize;
     let mut applied = 0usize;
-    let mut last_fallbacks = 0u64;
     let mut last_recourse = 0u64;
     let report_every = total_ops / 10;
 
@@ -129,16 +119,14 @@ fn main() {
             lat_us.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
             let c = eng.counters();
             println!(
-                "{:>10} {:>12.0} {:>10.2} {:>10.2} {:>10} {:>10} {:>12.3}",
+                "{:>10} {:>12.0} {:>10.2} {:>10.2} {:>10} {:>12.3}",
                 applied,
                 interval_ops as f64 / interval_busy.max(1e-9),
                 percentile(&lat_us, 0.50),
                 percentile(&lat_us, 0.99),
                 eng.matching().weight(),
-                eng.fallbacks() - last_fallbacks,
                 (c.recourse_total - last_recourse) as f64 / interval_ops.max(1) as f64,
             );
-            last_fallbacks = eng.fallbacks();
             last_recourse = c.recourse_total;
             lat_us.clear();
             interval_busy = 0.0;
@@ -150,26 +138,18 @@ fn main() {
     let c = eng.counters();
     println!();
     println!(
-        "total: {} updates over {} users; {} matching edges changed ({:.3}/update), \
-         {} plans replayed, {} sequential fallbacks",
+        "total: {} updates over {} users; {} matching edges changed ({:.3}/update)",
         c.updates_applied,
         n,
         c.recourse_total,
         c.recourse_total as f64 / c.updates_applied.max(1) as f64,
-        eng.replayed(),
-        eng.fallbacks(),
     );
     let d = driver.stats();
     if d.fatal_errors + d.transient_errors + d.storms > 0 || chaos {
         println!(
             "faults: {} malformed ops skipped, {} transient rejections ({} retries), \
-             {} storms → {} degraded batches, {} panicked groups re-run sequentially",
-            d.skipped_ops,
-            d.transient_errors,
-            d.retries,
-            d.storms,
-            d.degraded_batches,
-            eng.groups_fallback(),
+             {} storms → {} degraded batches",
+            d.skipped_ops, d.transient_errors, d.retries, d.storms, d.degraded_batches,
         );
     }
     if chaos {
