@@ -20,14 +20,24 @@
 //! an inserted edge can only open components through itself, a deleted
 //! matched edge only components touching its freed endpoints, and each
 //! applied repair only components touching the vertices it changed. The
-//! engine therefore maintains a dirty set, searches the radius-`max_len`
-//! ball around it (extended by the mates of ball vertices, so
-//! neighbourhood gains are computed exactly), and applies the best
+//! engine therefore maintains a dirty set — the update's endpoints,
+//! everything a deferring policy left pending, and every vertex an
+//! applied repair touched — and every positive walk of at most `max_len`
+//! edges passes through it. It builds the radius-`max_len` ball around
+//! the dirty set (extended by the mates of ball vertices, so
+//! neighbourhood gains are computed exactly) and applies the best
 //! augmentation found until none remains. The ball is relabelled into a
-//! compact sub-instance solved by the reusable
-//! [`AugSearcher`] on its
-//! epoch-stamped [`Scratch`] arenas — no hashing, no per-update
-//! allocation churn once warmed up.
+//! compact sub-instance and searched by the reusable [`AugSearcher`]
+//! *from the seeds outward*: the ball BFS depths are the seed distances,
+//! so a walk that cannot reach a dirty vertex within `max_len` edges is
+//! never extended, and the result equals a scan from every ball vertex.
+//! Everything runs on epoch-stamped [`Scratch`] arenas — no hashing, no
+//! per-update allocation churn once warmed up.
+//!
+//! Whole-graph restores — the bootstrap ([`static_bounded_matching`]),
+//! rebuild and restore-only epochs, and the sentinel heal — run
+//! [`AugSearcher::converge`]: one full scan, then after each applied
+//! augmentation a re-search of only the starts within `max_len` of it.
 
 use std::collections::HashSet;
 use std::error::Error;
@@ -944,9 +954,7 @@ pub(crate) fn run_rebuild_epoch(
     }
     // the class sweep improves but does not certify: restore the
     // bounded-augmentation invariant over the whole graph
-    kit.dirty.clear();
-    kit.dirty.extend(0..n as Vertex);
-    let fix = kit.fix_up(g, m, cfg.max_len);
+    let augmentations = kit.restore(g, m, cfg.max_len);
     // O(n) symmetric difference against the pre-epoch matching: each
     // changed edge is counted once, at its `key().0` endpoint
     let ident = |e: Edge| (e.key(), e.weight);
@@ -965,7 +973,7 @@ pub(crate) fn run_rebuild_epoch(
     (
         recourse,
         m.weight() - rk.epoch_before.weight(),
-        fix.augmentations,
+        augmentations,
     )
 }
 
@@ -976,6 +984,12 @@ pub(crate) fn run_rebuild_epoch(
 /// [`DynamicMatcher::from_graph`] bootstraps with and what the
 /// recompute-from-scratch baseline ([`RecomputeBaseline`]) recomputes
 /// after every update.
+///
+/// The loop is [`AugSearcher::converge`]: one full scan, then after each
+/// applied augmentation a re-search of only the start vertices within
+/// `max_len` of it. The matching is the one a full
+/// [`best_augmentation`](wmatch_graph::aug_search::best_augmentation)
+/// scan per augmentation reaches, augmentation for augmentation.
 ///
 /// # Example
 ///
@@ -991,9 +1005,7 @@ pub(crate) fn run_rebuild_epoch(
 /// ```
 pub fn static_bounded_matching(g: &Graph, max_len: usize, searcher: &mut AugSearcher) -> Matching {
     let mut m = greedy_by_weight(g);
-    while let Some(aug) = searcher.best_augmentation(g, &m, max_len) {
-        aug.apply(&mut m).expect("searcher augmentations are valid");
-    }
+    searcher.converge(g, &mut m, max_len);
     m
 }
 

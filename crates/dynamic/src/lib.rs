@@ -13,15 +13,21 @@
 //! the default `max_len = 3` gives the ½ floor the facade declares.
 //!
 //! What makes the invariant cheap to maintain is locality: an insertion
-//! can only create new improving components *through the new edge*, and a
-//! deletion only ones *touching the freed endpoints*, so each update
-//! re-searches just the radius-`max_len` ball around the touched
-//! vertices. The ball is relabelled into a compact sub-instance and
-//! handed to the exhaustive [`AugSearcher`](wmatch_graph::aug_search::AugSearcher)
-//! from `wmatch-graph` — the same searcher (and the same epoch-stamped
-//! [`Scratch`](wmatch_graph::Scratch) arenas) the offline machinery runs
-//! on, so the dynamic and static notions of "no short augmentation" agree
-//! by construction.
+//! can only create new improving components *through the new edge*, a
+//! deletion only ones *touching the freed endpoints*, and an applied
+//! repair only ones touching the vertices it changed. So each update
+//! builds just the radius-`max_len` ball around those seed vertices,
+//! relabels it into a compact sub-instance, and hands it to the exhaustive
+//! [`AugSearcher`](wmatch_graph::aug_search::AugSearcher) from
+//! `wmatch-graph` with each vertex's distance to the seeds: the search
+//! never extends a walk that cannot reach a seed, and returns exactly
+//! what a scan of the whole ball would. It is the same searcher (and the
+//! same epoch-stamped [`Scratch`](wmatch_graph::Scratch) arenas) the
+//! offline machinery runs on, so the dynamic and static notions of "no
+//! short augmentation" agree by construction. Whole-graph restores — the
+//! bootstrap, rebuild epochs, the sentinel heal — run its `converge`
+//! loop, which re-searches only the starts near each applied
+//! augmentation.
 //!
 //! *When* the repair runs is the engine's [`RepairPolicy`]: eagerly after
 //! every update (the default), under a per-update augmentation budget

@@ -36,13 +36,20 @@ pub(crate) struct FixOutcome {
 /// the epoch-stamped ball scratch, the relabelled sub-instance buffers,
 /// and the mutation journal. Everything is persistent — at steady state a
 /// repair allocates nothing.
+///
+/// Local ids are handed out in BFS order, so `depth[l]` — the ball BFS
+/// depth of local vertex `l`, its distance to the dirty set — is the seed
+/// distance of the anchored search, and the search only walks where a
+/// new positive component can be.
 #[derive(Debug)]
 pub(crate) struct RepairKit {
     pub searcher: AugSearcher,
     /// `scratch.count` doubles as the global→local id map of the ball.
     pub scratch: Scratch,
     local_to_global: Vec<Vertex>,
-    queue: Vec<(Vertex, u32)>,
+    /// Distance to the dirty set per local id; the mates added after the
+    /// BFS read `max_len + 1`.
+    depth: Vec<u32>,
     pub dirty: Vec<Vertex>,
     sub_g: Graph,
     sub_m: Matching,
@@ -62,7 +69,7 @@ impl RepairKit {
             searcher: AugSearcher::new(),
             scratch: Scratch::new(),
             local_to_global: Vec::new(),
-            queue: Vec::new(),
+            depth: Vec::new(),
             dirty: Vec::new(),
             sub_g: Graph::new(0),
             sub_m: Matching::new(0),
@@ -179,13 +186,46 @@ impl RepairKit {
         (out, false)
     }
 
+    /// Restores the bounded-augmentation invariant over the whole graph
+    /// and returns the augmentations applied: the result of
+    /// [`RepairKit::fix_up`] with every vertex dirty, augmentation for
+    /// augmentation. With every vertex dirty the sub-instance's local ids
+    /// are the global ids, so it is built once, edges oriented from the
+    /// smaller end as `fix_up` builds them, and
+    /// [`AugSearcher::converge`] runs on it against `m` itself: it reads
+    /// `m` by endpoint pair, removes by pair and inserts the
+    /// sub-instance's edges, exactly as `fix_up` unmaps them. Mutations
+    /// are not journalled; every caller measures an epoch by its matching
+    /// diff.
+    pub fn restore(&mut self, g: &DynGraph, m: &mut Matching, max_len: usize) -> u64 {
+        let n = g.vertex_count();
+        self.sub_g.reset(n);
+        for v in 0..n as Vertex {
+            for e in g.incident(v) {
+                let w = e.other(v);
+                if w > v {
+                    self.sub_g.add_edge(v, w, e.weight);
+                }
+            }
+        }
+        self.searcher.converge(&self.sub_g, m, max_len)
+    }
+
     /// The best positive augmentation (≤ `max_len` edges) in the
     /// radius-`max_len` ball around the dirty set: the ball (extended by
     /// the mates of ball vertices, so neighbourhood gains are exact) is
-    /// relabelled into a compact sub-instance, solved with the exhaustive
-    /// searcher, and the winner is unmapped into `self.added` /
+    /// relabelled into a compact sub-instance, searched from the dirty
+    /// seeds outward, and the winner is unmapped into `self.added` /
     /// `self.removed`. Returns the gain, or `None` when the invariant
     /// holds.
+    ///
+    /// The search keeps only walks through a dirty vertex. That is exact
+    /// because every caller keeps the dirty set covering every positive
+    /// walk: the invariant held before the update, a walk's gain reads
+    /// only the matching at its own vertices, and the dirty set holds the
+    /// update's endpoints, everything pending, and every vertex a repair
+    /// has touched. So a walk without a seed has gain ≤ 0 and the full
+    /// scan would never record it either.
     fn best_local_augmentation(
         &mut self,
         g: &DynGraph,
@@ -198,7 +238,7 @@ impl RepairKit {
             searcher,
             scratch,
             local_to_global,
-            queue,
+            depth,
             dirty,
             sub_g,
             sub_m,
@@ -210,7 +250,7 @@ impl RepairKit {
         } = self;
         let ids = &mut scratch.count; // global vertex -> local id
         local_to_global.clear();
-        queue.clear();
+        depth.clear();
         // canonical seed order makes the search independent of the order
         // augmentations reported their touched vertices
         dirty.sort_unstable();
@@ -219,15 +259,16 @@ impl RepairKit {
             if !ids.contains(d) {
                 ids.insert(d, local_to_global.len() as u32);
                 local_to_global.push(d);
-                queue.push((d, 0));
+                depth.push(0);
             }
         }
-        // BFS ball of radius max_len over the live adjacency
+        // BFS ball of radius max_len over the live adjacency; local ids
+        // are the BFS order, so `local_to_global` is its queue
         let mut head = 0;
-        while head < queue.len() {
-            let (v, depth) = queue[head];
+        while head < local_to_global.len() {
+            let (v, dv) = (local_to_global[head], depth[head]);
             head += 1;
-            if depth as usize >= max_len {
+            if dv as usize >= max_len {
                 continue;
             }
             for e in g.incident(v) {
@@ -235,7 +276,7 @@ impl RepairKit {
                 if !ids.contains(w) {
                     ids.insert(w, local_to_global.len() as u32);
                     local_to_global.push(w);
-                    queue.push((w, depth + 1));
+                    depth.push(dv + 1);
                 }
             }
         }
@@ -248,6 +289,7 @@ impl RepairKit {
                 if !ids.contains(w) {
                     ids.insert(w, local_to_global.len() as u32);
                     local_to_global.push(w);
+                    depth.push(max_len as u32 + 1);
                 }
             }
         }
@@ -278,8 +320,37 @@ impl RepairKit {
                 }
             }
         }
-        let gain =
-            searcher.best_augmentation_into(sub_g, sub_m, max_len, sub_added, sub_removed)?;
+        let found = searcher.best_seeded_augmentation_into(
+            sub_g,
+            sub_m,
+            max_len,
+            depth,
+            sub_added,
+            sub_removed,
+        );
+        // lockstep in unit tests: the seeded search must equal the full
+        // scan of the same sub-instance on every repair
+        #[cfg(test)]
+        {
+            let (mut full_added, mut full_removed) = (Vec::new(), Vec::new());
+            let full = searcher.best_augmentation_into(
+                sub_g,
+                sub_m,
+                max_len,
+                &mut full_added,
+                &mut full_removed,
+            );
+            assert_eq!(found, full, "seeded and full scans disagree on the gain");
+            assert_eq!(
+                *sub_added, full_added,
+                "seeded and full scans add different edges"
+            );
+            assert_eq!(
+                *sub_removed, full_removed,
+                "seeded and full scans remove different edges"
+            );
+        }
+        let gain = found?;
         added.clear();
         removed.clear();
         for e in sub_added.iter() {

@@ -5,9 +5,9 @@
 //! is appended to the in-memory op journal (the *tail*) before the
 //! engine touches it, and once the tail grows past the configured
 //! cadence a fresh snapshot of the engine's semantic state (graph,
-//! matching, counters, rebuild phase) is captured at the batch boundary
-//! and the tail is cleared. Durable state is therefore always
-//! `snapshot + tail`, and
+//! matching, counters, rebuild phase, pending repair debt) is captured at
+//! the batch boundary and the tail is cleared. Durable state is therefore
+//! always `snapshot + tail`, and
 //! [`ShardedMatcher::recover`](crate::ShardedMatcher::recover) rebuilds
 //! it by restoring the snapshot and replaying the tail through the
 //! ordinary batch path — which the engine's determinism contract
@@ -17,10 +17,12 @@
 //! If a batch stops at a malformed op, the un-applied suffix is
 //! truncated from the tail so the journal only ever records ops that
 //! actually committed. Deferred (degraded-mode) ops are journaled like any
-//! other; recovery replays them eagerly, so a crash canonicalizes
-//! pending staleness into the fully-repaired state.
+//! other; recovery replays them eagerly, so a crash canonicalizes the
+//! tail's staleness into the fully-repaired state. Debt already in the
+//! snapshot — ops deferred before a later batch crossed the cadence —
+//! is restored as pending, and the next flush repairs it.
 
-use wmatch_graph::Matching;
+use wmatch_graph::{Matching, Vertex};
 
 use crate::dyngraph::DynGraph;
 use crate::engine::{DynamicCounters, EngineCore};
@@ -96,6 +98,8 @@ pub(crate) struct Wal {
     snap_m: Matching,
     snap_counters: DynamicCounters,
     snap_since_rebuild: usize,
+    snap_pending: Vec<Vertex>,
+    snap_pending_ops: usize,
     tail: Vec<UpdateOp>,
     snapshots: u64,
     ops_journaled: u64,
@@ -110,6 +114,8 @@ impl Wal {
             snap_m: Matching::new(0),
             snap_counters: DynamicCounters::default(),
             snap_since_rebuild: 0,
+            snap_pending: Vec::new(),
+            snap_pending_ops: 0,
             tail: Vec::new(),
             snapshots: 0,
             ops_journaled: 0,
@@ -123,6 +129,8 @@ impl Wal {
         self.snap_m.copy_from(&core.m);
         self.snap_counters = core.counters;
         self.snap_since_rebuild = core.updates_since_rebuild;
+        self.snap_pending.clone_from(&core.pending);
+        self.snap_pending_ops = core.pending_ops;
         self.tail.clear();
         self.snapshots += 1;
     }
@@ -158,8 +166,8 @@ impl Wal {
         core.m.copy_from(&self.snap_m);
         core.counters = self.snap_counters;
         core.updates_since_rebuild = self.snap_since_rebuild;
-        core.pending.clear();
-        core.pending_ops = 0;
+        core.pending.clone_from(&self.snap_pending);
+        core.pending_ops = self.snap_pending_ops;
     }
 
     /// Updates durable in the snapshot.

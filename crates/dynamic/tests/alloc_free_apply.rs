@@ -2,9 +2,10 @@
 //! allocation-free at steady state: once a warm-up cycle has sized every
 //! persistent buffer (slab, adjacency, repair-kit arenas, recycled CSR
 //! views, rebuild snapshot, pending-repair set), re-applying the
-//! identical op cycle — running restore-only rebuild epochs, deferring
-//! repairs under a budget or window policy and flushing them, or feeding
-//! the sharded engine's batch path — must not touch the allocator.
+//! identical op cycle — running restore-only rebuild epochs (including
+//! one whose global restore applies an augmentation), deferring repairs
+//! under a budget or window policy and flushing them, or feeding the
+//! sharded engine's batch path — must not touch the allocator.
 //!
 //! This file holds a single test so no concurrent test thread can
 //! perturb the counter (the same discipline as the graph crate's
@@ -167,7 +168,44 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
         );
     }
 
-    // phase 4: the sharded batch path — `apply_all` chunks the cycle into
+    // phase 4: a restore-only epoch whose global restore applies an
+    // augmentation. Under a budget of 1 the teardown's matched delete
+    // re-matches one light pair and leaves the other pending; with two
+    // lead-in ops and 6-op cycles, the epoch comes due on exactly that
+    // delete in every cycle, and its restore matches the second pair.
+    let cfg = DynamicConfig::default()
+        .with_rebuild_threshold(6)
+        .with_rebuild_rounds(0);
+    let mut eng = DynamicMatcher::new(n, cfg).with_policy(RepairPolicy::Budget(1));
+    eng.apply_all(&[UpdateOp::insert(10, 11, 7), UpdateOp::delete(10, 11)])
+        .expect("lead-in ops are well-formed");
+    let mut teardown = Vec::new();
+    ops_two_augmentation_teardown(&mut teardown, 0);
+    for _ in 0..2 {
+        eng.apply_all(&teardown)
+            .expect("teardown ops are well-formed");
+    }
+    assert!(eng.matching().is_empty(), "the teardown is state-neutral");
+    let augs_before = eng.counters().augmentations_applied;
+    let rebuilds_before = eng.counters().rebuilds;
+    let before = allocations();
+    let stats = eng
+        .apply_all(&teardown)
+        .expect("teardown ops are well-formed");
+    let during = allocations() - before;
+    let restored = eng.counters().augmentations_applied - augs_before - stats.augmentations;
+    assert_eq!(eng.counters().rebuilds, rebuilds_before + 1);
+    assert_eq!(
+        restored, 1,
+        "the epoch's global restore must apply the deferred augmentation"
+    );
+    assert_eq!(
+        during, 0,
+        "a warmed-up restore that applies augmentations must not allocate \
+         ({during} allocations)"
+    );
+
+    // phase 5: the sharded batch path — `apply_all` chunks the cycle into
     // batches that each commit through the sequential per-op path, so the
     // batching itself must not allocate either (no WAL, no chaos)
     let cycle = churn_cycle();

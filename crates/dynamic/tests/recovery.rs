@@ -221,6 +221,34 @@ fn recovery_canonicalizes_deferred_ops_eagerly() {
     );
 }
 
+#[test]
+fn snapshot_taken_while_repairs_are_deferred_keeps_the_debt() {
+    // an eager batch after a deferred one crosses the snapshot cadence:
+    // the snapshot must carry the pending repair, or recovery loses it
+    let run = |crash: bool| {
+        let mut eng = ShardedMatcher::new(8, DynamicConfig::default(), 1);
+        eng.enable_wal(WalConfig::new().with_snapshot_every(1));
+        eng.apply_deferred(&[UpdateOp::insert(0, 1, 5)]).unwrap();
+        eng.apply_all(&[UpdateOp::insert(4, 5, 3)]).unwrap();
+        if crash {
+            eng.simulate_crash();
+            eng.recover().unwrap();
+            assert_eq!(eng.deferred_repairs(), 1, "the snapshot keeps the debt");
+        }
+        eng.flush_repairs();
+        eng
+    };
+    let uninterrupted = run(false);
+    let recovered = run(true);
+    assert_eq!(uninterrupted.matching().weight(), 8);
+    assert_eq!(state_of(&recovered), state_of(&uninterrupted));
+    let live = recovered.graph().snapshot();
+    assert!(
+        best_augmentation(&live, recovered.matching(), 3).is_none(),
+        "no positive augmentation survives the flush"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Chaos poison: malformed ops injected into the stream are rejected
 // typed; the serve driver skips them and the survivors stay certified.

@@ -2,13 +2,30 @@
 //!
 //! Fact 1.3 of the paper: *if there is no augmenting path or cycle of
 //! length at most 2ℓ−1, then `M` is a (1−1/ℓ)-approximate matching.* This
-//! module provides the exhaustive searcher used to verify that fact and to
-//! measure optimality gaps on small instances. It enumerates every simple
-//! alternating path and cycle with at most `max_len` edges and reports the
-//! one with the largest (positive) gain.
+//! module provides the exhaustive searcher that certifies that fact and
+//! maintains it: it enumerates every simple alternating path and cycle
+//! with at most `max_len` edges and reports the one with the largest
+//! (positive) gain. The cost is exponential in `max_len` and linear in
+//! the vertices searched from, so the searcher offers three scopes of
+//! one DFS:
 //!
-//! Exponential in `max_len`; intended for small graphs in tests and
-//! reports.
+//! * **the full scan** ([`AugSearcher::best_augmentation`],
+//!   [`AugSearcher::best_augmentation_into`]) starts a walk at every
+//!   vertex;
+//! * **the seeded scan** ([`AugSearcher::best_seeded_augmentation_into`])
+//!   keeps only walks through a *seed* vertex, given each vertex's
+//!   distance to the seeds: a start or branch that can no longer reach a
+//!   seed within `max_len` edges is cut. When every positive walk passes
+//!   through a seed — the dynamic engine's locality argument: the seeds
+//!   are whatever an update or a repair touched — it returns exactly what
+//!   the full scan returns;
+//! * **[`AugSearcher::converge`]** applies best augmentations until none
+//!   is left, with one full scan up front and, after each applied
+//!   augmentation, a re-search of only the starts within `max_len` of it.
+//!
+//! All three enumerate walks in the same order — start vertex, then CSR
+//! order — and keep the same tie-break: the first walk to reach the
+//! strictly largest gain wins.
 //!
 //! The searcher runs on the flat hot path: neighbourhood scans read the
 //! graph's cached [`CsrView`](crate::CsrView) slices, the visited set is
@@ -48,11 +65,84 @@ pub fn best_augmentation(g: &Graph, m: &Matching, max_len: usize) -> Option<Augm
     AugSearcher::new().best_augmentation(g, m, max_len)
 }
 
+/// Which walks a search may record, and which it may cut early. The DFS
+/// is monomorphized over it: the full scan's [`Everywhere`] is zero-sized
+/// with a unit state, so its instance carries no extra argument and no
+/// extra branch.
+trait Anchor: Copy {
+    /// Per-walk state, carried down the DFS frames.
+    type State: Copy;
+    /// The state of the one-vertex walk at `start`, or `None` when no
+    /// walk of at most `max_len` edges from `start` can be recorded.
+    fn start(self, start: Vertex, max_len: usize) -> Option<Self::State>;
+    /// The state after the walk steps to `next` with `left` edges still
+    /// allowed, or `None` when no extension from `next` can be recorded.
+    fn step(self, state: Self::State, next: Vertex, left: usize) -> Option<Self::State>;
+    /// Whether a walk in `state` may be recorded.
+    fn records(state: Self::State) -> bool;
+}
+
+/// The full scan: every walk counts.
+#[derive(Debug, Clone, Copy)]
+struct Everywhere;
+
+impl Anchor for Everywhere {
+    type State = ();
+
+    #[inline(always)]
+    fn start(self, _: Vertex, _: usize) -> Option<()> {
+        Some(())
+    }
+
+    #[inline(always)]
+    fn step(self, _: (), _: Vertex, _: usize) -> Option<()> {
+        Some(())
+    }
+
+    #[inline(always)]
+    fn records(_: ()) -> bool {
+        true
+    }
+}
+
+/// The seeded scan: only walks through a seed count. `dist[v]` is 0 at
+/// the seeds and a lower bound on the distance to the nearest seed
+/// elsewhere; the state says whether the walk has met a seed yet.
+#[derive(Debug, Clone, Copy)]
+struct Seeds<'a> {
+    dist: &'a [u32],
+}
+
+impl Anchor for Seeds<'_> {
+    type State = bool;
+
+    #[inline(always)]
+    fn start(self, start: Vertex, max_len: usize) -> Option<bool> {
+        let d = self.dist[start as usize] as usize;
+        (d <= max_len).then_some(d == 0)
+    }
+
+    #[inline(always)]
+    fn step(self, hit: bool, next: Vertex, left: usize) -> Option<bool> {
+        if hit {
+            return Some(true);
+        }
+        let d = self.dist[next as usize] as usize;
+        (d <= left).then_some(d == 0)
+    }
+
+    #[inline(always)]
+    fn records(hit: bool) -> bool {
+        hit
+    }
+}
+
 /// Reusable exhaustive searcher for short augmentations.
 ///
 /// Holds the epoch-stamped visited marks and walk buffers across calls;
 /// after the first call on a graph of a given size, subsequent searches
-/// allocate only when they find an improving component.
+/// allocate only when they find an improving component (and
+/// [`AugSearcher::converge`] not even then).
 ///
 /// # Example
 ///
@@ -71,6 +161,13 @@ pub struct AugSearcher {
     walk: Vec<Edge>,
     best_walk: Vec<Edge>,
     best_gain: i128,
+    /// [`AugSearcher::converge`]'s best gain per start vertex.
+    gains: Vec<i128>,
+    /// [`AugSearcher::converge`]'s BFS queue of starts to re-search.
+    frontier: Vec<Vertex>,
+    /// [`AugSearcher::converge`]'s split of the current winner.
+    added: Vec<Edge>,
+    removed: Vec<Edge>,
 }
 
 impl AugSearcher {
@@ -95,7 +192,7 @@ impl AugSearcher {
         m: &Matching,
         max_len: usize,
     ) -> Option<Augmentation> {
-        self.search(g, m, max_len);
+        self.search(g, m, max_len, Everywhere);
         if self.best_gain > 0 {
             let aug = Augmentation::from_component(m, &self.best_walk)
                 .expect("gated walks form valid alternating components");
@@ -124,23 +221,254 @@ impl AugSearcher {
         added: &mut Vec<Edge>,
         removed: &mut Vec<Edge>,
     ) -> Option<i128> {
+        self.search(g, m, max_len, Everywhere);
+        self.split_best(m, added, removed)
+    }
+
+    /// [`AugSearcher::best_augmentation_into`] restricted to walks that
+    /// pass through a *seed*: `seed_dist[v]` (one entry per vertex) is 0
+    /// exactly at the seeds, and elsewhere at most `v`'s distance to the
+    /// nearest seed — BFS depths from the seeds qualify, and anything
+    /// farther than `max_len` may be capped at `max_len + 1`. A start or
+    /// branch that cannot reach a seed within the remaining length is cut.
+    ///
+    /// The surviving walks are enumerated in the full scan's order with
+    /// its tie-break, so the winner is the full scan's winner among walks
+    /// through a seed. When every positive walk of at most `max_len`
+    /// edges passes through a seed, that is exactly the full scan's
+    /// result: a walk without one has gain ≤ 0, which the full scan never
+    /// records either.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seed_dist` is shorter than the vertex count.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use wmatch_graph::{Edge, Graph, Matching, aug_search::AugSearcher};
+    ///
+    /// // two disjoint unmatched edges; only the one at seed 2 is searched
+    /// let mut g = Graph::new(4);
+    /// g.add_edge(0, 1, 9);
+    /// g.add_edge(2, 3, 4);
+    /// let m = Matching::new(4);
+    /// let dist = [2, 2, 0, 1]; // 0 and 1 are out of reach: any cap > 1
+    /// let (mut added, mut removed) = (Vec::new(), Vec::new());
+    /// let mut s = AugSearcher::new();
+    /// let gain = s.best_seeded_augmentation_into(&g, &m, 1, &dist, &mut added, &mut removed);
+    /// assert_eq!(gain, Some(4));
+    /// assert_eq!(added, [Edge::new(2, 3, 4)]);
+    /// ```
+    pub fn best_seeded_augmentation_into(
+        &mut self,
+        g: &Graph,
+        m: &Matching,
+        max_len: usize,
+        seed_dist: &[u32],
+        added: &mut Vec<Edge>,
+        removed: &mut Vec<Edge>,
+    ) -> Option<i128> {
+        assert!(
+            seed_dist.len() >= g.vertex_count(),
+            "one seed distance per vertex"
+        );
+        self.search(g, m, max_len, Seeds { dist: seed_dist });
+        self.split_best(m, added, removed)
+    }
+
+    /// Applies best augmentations to `m` until none with positive gain
+    /// and at most `max_len` edges remains; returns how many it applied.
+    ///
+    /// The result is the matching of the naive loop
+    /// `while let Some(aug) = best_augmentation(g, m, max_len) { aug.apply(m) }`,
+    /// augmentation for augmentation, without its full scan per
+    /// augmentation. One full scan caches each start vertex's best gain.
+    /// A start's DFS reads the matching only at its walk vertices, all
+    /// within `max_len` of the start, and the graph does not change; so
+    /// after an augmentation only the starts within `max_len` of its
+    /// added and removed edges are searched again. The first start with
+    /// the largest cached gain is the full scan's winner, and searching it
+    /// once more rebuilds the winning walk.
+    ///
+    /// Each winner is split into searcher-owned buffers and applied as
+    /// removals then inserts (added edges keep the graph's orientation),
+    /// so once the searcher has run on a graph of this size, `converge`
+    /// does not allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` covers fewer vertices than `g`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use wmatch_graph::{Matching, aug_search::{best_augmentation, AugSearcher}};
+    /// use wmatch_graph::generators;
+    ///
+    /// let g = generators::path_graph(&[4, 6, 4]);
+    /// let mut m = Matching::new(4);
+    /// // grab the middle edge, then swap it for the outer pair
+    /// assert_eq!(AugSearcher::new().converge(&g, &mut m, 3), 2);
+    /// assert_eq!(m.weight(), 8);
+    /// assert!(best_augmentation(&g, &m, 3).is_none());
+    /// ```
+    pub fn converge(&mut self, g: &Graph, m: &mut Matching, max_len: usize) -> u64 {
+        let n = g.vertex_count();
+        self.prepare(n, max_len);
+        self.gains.clear();
+        self.gains.resize(n, 0);
+        for start in 0..n as Vertex {
+            self.gains[start as usize] = self.search_start(g, m, max_len, start);
+        }
+        let mut applied = 0;
+        loop {
+            // the full scan's winner: the first start to hold the
+            // strictly largest gain
+            let mut best = 0;
+            let mut winner = None;
+            for (v, &gain) in self.gains.iter().enumerate() {
+                if gain > best {
+                    best = gain;
+                    winner = Some(v as Vertex);
+                }
+            }
+            let Some(winner) = winner else { break };
+            let gain = self.search_start(g, m, max_len, winner);
+            debug_assert_eq!(gain, best, "cached gains are current");
+            let mut added = std::mem::take(&mut self.added);
+            let mut removed = std::mem::take(&mut self.removed);
+            self.split_best(m, &mut added, &mut removed);
+            for e in &removed {
+                m.remove_pair(e.u, e.v)
+                    .expect("the neighbourhood is matched");
+            }
+            for &e in &added {
+                m.insert(e).expect("removals freed the endpoints");
+            }
+            applied += 1;
+            // every start within max_len of a changed mate is stale
+            self.frontier.clear();
+            self.scratch.mark.clear();
+            for e in added.iter().chain(&removed) {
+                for x in [e.u, e.v] {
+                    if self.scratch.mark.insert(x) {
+                        self.frontier.push(x);
+                    }
+                }
+            }
+            self.added = added;
+            self.removed = removed;
+            let csr = g.csr();
+            let mut level = 0..self.frontier.len();
+            for _ in 0..max_len {
+                let next = level.end;
+                for i in level {
+                    for &w in csr.neighbors(self.frontier[i]) {
+                        if self.scratch.mark.insert(w) {
+                            self.frontier.push(w);
+                        }
+                    }
+                }
+                level = next..self.frontier.len();
+            }
+            for i in 0..self.frontier.len() {
+                let v = self.frontier[i];
+                self.gains[v as usize] = self.search_start(g, m, max_len, v);
+            }
+        }
+        applied
+    }
+
+    /// Sizes the scratch for an `n`-vertex search and resets the winner.
+    fn prepare(&mut self, n: usize, max_len: usize) {
+        self.scratch.begin(n);
+        self.walk.clear();
+        self.walk.reserve(max_len + 1);
+        self.best_walk.clear();
+        self.best_walk.reserve(max_len + 1);
+        self.best_gain = 0;
+    }
+
+    /// The best gain (0 if none is positive) over the walks from `start`
+    /// alone, leaving its first winning walk in `best_walk`.
+    fn search_start(&mut self, g: &Graph, m: &Matching, max_len: usize, start: Vertex) -> i128 {
+        self.best_gain = 0;
+        self.search_from(g, m, max_len, Everywhere, start);
+        self.best_gain
+    }
+
+    /// Runs the DFS from every start vertex the anchor admits, leaving the
+    /// winner (if any) in `best_walk`/`best_gain`.
+    fn search<A: Anchor>(&mut self, g: &Graph, m: &Matching, max_len: usize, anchor: A) {
+        let n = g.vertex_count();
+        self.prepare(n, max_len);
+        for start in 0..n as Vertex {
+            self.search_from(g, m, max_len, anchor, start);
+        }
+    }
+
+    /// The DFS over simple alternating walks from `start`, recording into
+    /// the running `best_walk`/`best_gain`.
+    #[inline(always)]
+    fn search_from<A: Anchor>(
+        &mut self,
+        g: &Graph,
+        m: &Matching,
+        max_len: usize,
+        anchor: A,
+        start: Vertex,
+    ) {
+        let Some(state) = anchor.start(start, max_len) else {
+            return;
+        };
+        self.scratch.visited.clear();
+        self.scratch.visited.insert(start);
+        self.walk.clear();
+        // the start vertex's matched edge is in the neighbourhood of
+        // every non-empty prefix
+        let removed = m.incident_weight(start) as i128;
+        self.dfs(
+            g,
+            g.csr(),
+            m,
+            anchor,
+            start,
+            start,
+            None,
+            max_len,
+            0,
+            removed,
+            state,
+        );
+    }
+
+    /// Decomposes the recorded winner into `added`/`removed` (both
+    /// cleared first) and returns its gain, or `None` if nothing positive
+    /// was recorded.
+    fn split_best(
+        &mut self,
+        m: &Matching,
+        added: &mut Vec<Edge>,
+        removed: &mut Vec<Edge>,
+    ) -> Option<i128> {
         added.clear();
         removed.clear();
-        self.search(g, m, max_len);
         if self.best_gain <= 0 {
             return None;
         }
         // hash-free decomposition: `mark` dedups component vertices; a
         // matched edge joins `removed` when its first endpoint is scanned
-        self.scratch.mark.clear();
+        let marks = &mut self.scratch.mark;
+        marks.clear();
         for e in &self.best_walk {
             if !m.contains(e) {
                 added.push(*e);
             }
             for x in [e.u, e.v] {
-                if self.scratch.mark.insert(x) {
+                if marks.insert(x) {
                     if let Some(me) = m.matched_edge(x) {
-                        if !self.scratch.mark.contains(me.other(x)) {
+                        if !marks.contains(me.other(x)) {
                             removed.push(me);
                         }
                     }
@@ -156,45 +484,24 @@ impl AugSearcher {
         Some(self.best_gain)
     }
 
-    /// Runs the exhaustive DFS, leaving the winner (if any) in
-    /// `best_walk`/`best_gain`.
-    fn search(&mut self, g: &Graph, m: &Matching, max_len: usize) {
-        let n = g.vertex_count();
-        self.scratch.begin(n);
-        self.walk.clear();
-        self.walk.reserve(max_len + 1);
-        self.best_walk.clear();
-        self.best_walk.reserve(max_len + 1);
-        self.best_gain = 0;
-
-        // DFS over simple alternating walks from every start vertex.
-        for start in 0..n as Vertex {
-            self.scratch.visited.clear();
-            self.scratch.visited.insert(start);
-            self.walk.clear();
-            // the start vertex's matched edge is in the neighbourhood of
-            // every non-empty prefix
-            let removed = m.incident_weight(start) as i128;
-            self.dfs(g, g.csr(), m, start, start, None, max_len, 0, removed);
-        }
-    }
-
     /// Extends the walk edge by edge, carrying the component gain
     /// (`added − removed`, with the matching neighbourhood deduplicated
     /// via the visited marks) in the recursion frame so every prefix is
     /// evaluated without materializing an [`Augmentation`].
     #[allow(clippy::too_many_arguments)]
-    fn dfs(
+    fn dfs<A: Anchor>(
         &mut self,
         g: &Graph,
         csr: &crate::csr::CsrView,
         m: &Matching,
+        anchor: A,
         start: Vertex,
         cur: Vertex,
         last_in_m: Option<bool>,
         max_len: usize,
         added: i128,
         removed: i128,
+        state: A::State,
     ) {
         if self.walk.len() >= max_len {
             return;
@@ -211,7 +518,10 @@ impl AugSearcher {
             if next == start && self.walk.len() >= 2 {
                 // closing a cycle: alternation must hold around the joint too
                 let first_in_m = m.contains(&self.walk[0]);
-                if in_m != first_in_m && (self.walk.len() + 1).is_multiple_of(2) {
+                if in_m != first_in_m
+                    && (self.walk.len() + 1).is_multiple_of(2)
+                    && A::records(state)
+                {
                     // both endpoints are already on the walk: the closing
                     // edge changes only the added weight
                     let gain = added + if in_m { 0 } else { e.weight as i128 } - removed;
@@ -227,6 +537,9 @@ impl AugSearcher {
             if self.scratch.visited.contains(next) {
                 continue;
             }
+            let Some(state) = anchor.step(state, next, max_len - self.walk.len() - 1) else {
+                continue; // no seed within reach
+            };
             let added = added + if in_m { 0 } else { e.weight as i128 };
             // `next` contributes its matched edge to the neighbourhood
             // unless the edge's other endpoint already did
@@ -239,12 +552,24 @@ impl AugSearcher {
             self.scratch.visited.insert(next);
             // every prefix is itself a valid alternating path component
             let gain = added - removed;
-            if gain > self.best_gain {
+            if A::records(state) && gain > self.best_gain {
                 self.best_gain = gain;
                 self.best_walk.clear();
                 self.best_walk.extend_from_slice(&self.walk);
             }
-            self.dfs(g, csr, m, start, next, Some(in_m), max_len, added, removed);
+            self.dfs(
+                g,
+                csr,
+                m,
+                anchor,
+                start,
+                next,
+                Some(in_m),
+                max_len,
+                added,
+                removed,
+                state,
+            );
             self.scratch.visited.remove(next);
             self.walk.pop();
         }
@@ -300,7 +625,7 @@ mod tests {
     use crate::exact::max_weight_matching;
     use crate::generators::{self, WeightModel};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn finds_single_edge_augmentation() {
@@ -451,6 +776,171 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A random multigraph: either orientation, with parallel copies.
+    fn random_multigraph(rng: &mut StdRng, n: usize, edges: usize) -> Graph {
+        let mut g = Graph::new(n);
+        for _ in 0..edges {
+            let u = rng.gen_range(0..n as Vertex);
+            let v = (u + rng.gen_range(1..n as Vertex)) % n as Vertex;
+            g.add_edge(u, v, rng.gen_range(1..=9));
+            if rng.gen_bool(0.2) {
+                g.add_edge(v, u, rng.gen_range(1..=9));
+            }
+        }
+        g
+    }
+
+    /// The reference `converge` must reproduce: one full scan per
+    /// applied augmentation.
+    fn naive_converge(g: &Graph, m: &mut Matching, max_len: usize) -> u64 {
+        let mut applied = 0;
+        while let Some(aug) = best_augmentation(g, m, max_len) {
+            aug.apply(m).unwrap();
+            applied += 1;
+        }
+        applied
+    }
+
+    /// BFS depths from `seeds`, capped at `max_len + 1`.
+    fn seed_distances(g: &Graph, seeds: &[Vertex], max_len: usize) -> Vec<u32> {
+        let cap = max_len as u32 + 1;
+        let mut dist = vec![cap; g.vertex_count()];
+        let mut queue = std::collections::VecDeque::new();
+        for &s in seeds {
+            if dist[s as usize] != 0 {
+                dist[s as usize] = 0;
+                queue.push_back(s);
+            }
+        }
+        while let Some(v) = queue.pop_front() {
+            let d = dist[v as usize];
+            for w in g.neighbors(v) {
+                if dist[w as usize] == cap && d + 1 < cap {
+                    dist[w as usize] = d + 1;
+                    queue.push_back(w);
+                }
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn converge_reproduces_the_naive_loop() {
+        let mut rng = StdRng::seed_from_u64(59);
+        let mut searcher = AugSearcher::new();
+        let mut total = 0;
+        for trial in 0..60 {
+            let n = rng.gen_range(4..16);
+            let edges = rng.gen_range(n..3 * n);
+            let g = random_multigraph(&mut rng, n, edges);
+            // start from empty or from an arbitrary maximal matching
+            let mut start = Matching::new(n);
+            if trial % 2 == 1 {
+                for e in g.edges() {
+                    let _ = start.insert(*e);
+                }
+            }
+            for max_len in [1usize, 3, 5] {
+                let mut expect = start.clone();
+                let k = naive_converge(&g, &mut expect, max_len);
+                let mut got = start.clone();
+                assert_eq!(searcher.converge(&g, &mut got, max_len), k, "trial {trial}");
+                // `Matching` equality compares each vertex's edge as
+                // stored, orientation included
+                assert_eq!(got, expect, "trial {trial}, max_len {max_len}");
+                total += k;
+            }
+        }
+        assert!(total > 100, "the trials must apply augmentations ({total})");
+    }
+
+    #[test]
+    fn seeded_scan_equals_full_scan_after_local_changes() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let mut searcher = AugSearcher::new();
+        let (mut sa, mut sr, mut fa, mut fr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut found = 0;
+        for trial in 0..150 {
+            let n = rng.gen_range(6..18);
+            let edges = rng.gen_range(n..3 * n);
+            let mut g = random_multigraph(&mut rng, n, edges);
+            let max_len = [1usize, 3, 5][trial % 3];
+            let mut m = Matching::new(n);
+            searcher.converge(&g, &mut m, max_len);
+            // perturb at random seeds: only walks through them can turn
+            // positive, which is the seeded scan's precondition
+            let mut seeds: Vec<Vertex> = Vec::new();
+            let matched: Vec<Edge> = m.iter().collect();
+            if trial % 2 == 0 && !matched.is_empty() {
+                // delete a matched edge (one live copy of its pair)
+                let me = matched[rng.gen_range(0..matched.len())];
+                let mut dropped = false;
+                let kept: Vec<Edge> = g
+                    .edges()
+                    .iter()
+                    .copied()
+                    .filter(|e| {
+                        let hit = !dropped && e.key() == me.key() && e.weight == me.weight;
+                        dropped |= hit;
+                        !hit
+                    })
+                    .collect();
+                g = Graph::from_edges(n, kept);
+                m.remove_pair(me.u, me.v).unwrap();
+                seeds.extend([me.u, me.v]);
+            } else {
+                // insert edges between seeds
+                for _ in 0..rng.gen_range(1..4) {
+                    let u = rng.gen_range(0..n as Vertex);
+                    let v = (u + rng.gen_range(1..n as Vertex)) % n as Vertex;
+                    g.add_edge(u, v, rng.gen_range(1..=12));
+                    seeds.extend([u, v]);
+                }
+            }
+            // fix-up: search, apply, and seed everything the winner touched
+            loop {
+                let dist = seed_distances(&g, &seeds, max_len);
+                let seeded = searcher
+                    .best_seeded_augmentation_into(&g, &m, max_len, &dist, &mut sa, &mut sr);
+                let full = searcher.best_augmentation_into(&g, &m, max_len, &mut fa, &mut fr);
+                assert_eq!(seeded, full, "trial {trial}: gains differ");
+                assert_eq!(sa, fa, "trial {trial}: added edges differ");
+                assert_eq!(sr, fr, "trial {trial}: removed edges differ");
+                if seeded.is_none() {
+                    break;
+                }
+                found += 1;
+                for e in &sr {
+                    m.remove_pair(e.u, e.v).unwrap();
+                }
+                for &e in &sa {
+                    m.insert(e).unwrap();
+                }
+                seeds.extend(sa.iter().chain(&sr).flat_map(|e| [e.u, e.v]));
+            }
+            assert!(best_augmentation(&g, &m, max_len).is_none());
+        }
+        assert!(
+            found > 50,
+            "the perturbations must open augmentations ({found})"
+        );
+    }
+
+    #[test]
+    fn seeded_scan_ignores_walks_out_of_reach() {
+        // without the precondition the seeded scan returns the best walk
+        // through a seed, not the global best
+        let g = generators::path_graph(&[9, 1, 1, 4]);
+        let m = Matching::new(5);
+        let mut s = AugSearcher::new();
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        let dist = seed_distances(&g, &[4], 1);
+        let gain = s.best_seeded_augmentation_into(&g, &m, 1, &dist, &mut added, &mut removed);
+        assert_eq!(gain, Some(4));
+        let gain = s.best_augmentation_into(&g, &m, 1, &mut added, &mut removed);
+        assert_eq!(gain, Some(9));
     }
 
     #[test]

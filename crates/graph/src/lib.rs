@@ -15,8 +15,10 @@
 //! * [`exact`] — exact matching solvers used as ground truth: Hopcroft–Karp,
 //!   Hungarian (successive shortest paths), unweighted blossom, and Galil's
 //!   maximum-weight general matching,
-//! * [`aug_search`] — exhaustive short-augmentation search used to verify
-//!   Fact 1.3,
+//! * [`aug_search`] — exhaustive short-augmentation search that verifies
+//!   and maintains Fact 1.3: a full scan, a scan anchored at seed
+//!   vertices, and a converge loop that re-searches only near each applied
+//!   augmentation,
 //! * [`csr`] / [`scratch`] — the flat hot-path substrate: cached CSR
 //!   adjacency views ([`CsrView`]) and epoch-stamped scratch arenas
 //!   ([`Scratch`]) that keep the per-round neighbourhood scans of
