@@ -225,7 +225,10 @@ impl RepairKit {
     /// only the matching at its own vertices, and the dirty set holds the
     /// update's endpoints, everything pending, and every vertex a repair
     /// has touched. So a walk without a seed has gain ≤ 0 and the full
-    /// scan would never record it either.
+    /// scan would never record it either. The one exception is an eager
+    /// op that runs while deferred repairs are pending: it seeds only its
+    /// own endpoints, so a stale walk in its ball that avoids them is
+    /// left for the flush, which the pending set still owes.
     fn best_local_augmentation(
         &mut self,
         g: &DynGraph,

@@ -305,8 +305,11 @@ impl ShardedMatcher {
     /// tolerate-ε-staleness ingest, the same deferral as
     /// [`RepairPolicy::Window`](crate::RepairPolicy::Window). The matching
     /// stays *valid* but its Fact 1.3 certificate is suspended until
-    /// [`ShardedMatcher::flush_repairs`] runs. Deferred ops are journaled
-    /// like any other; crash recovery replays them eagerly.
+    /// [`ShardedMatcher::flush_repairs`] runs: an eager batch in between
+    /// repairs only around its own ops, and the deferred debt stays
+    /// pending. Deferred ops are journaled like any other; crash recovery
+    /// replays the journal tail eagerly and restores any debt its
+    /// snapshot holds.
     ///
     /// # Errors
     ///
