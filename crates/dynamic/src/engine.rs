@@ -31,6 +31,10 @@
 //! *from the seeds outward*: the ball BFS depths are the seed distances,
 //! so a walk that cannot reach a dirty vertex within `max_len` edges is
 //! never extended, and the result equals a scan from every ball vertex.
+//! A vertex on the ball's rim (depth `max_len`) can only end such a
+//! walk, with the seed at the other end: the sub-instance takes only the
+//! interior's edges, and the search skips rim starts, whose walks are
+//! reverses of walks from the seeds.
 //! Everything runs on epoch-stamped [`Scratch`] arenas — no hashing, no
 //! per-update allocation churn once warmed up.
 //!
@@ -910,8 +914,8 @@ pub(crate) fn run_rebuild_epoch(
 ) -> (u64, i128, u64) {
     let n = g.vertex_count();
     rk.epoch_before.copy_from(m);
-    g.snapshot_into(&mut rk.snapshot);
-    if cfg.rebuild_rounds > 0 && rk.snapshot.edge_count() > 0 {
+    if cfg.rebuild_rounds > 0 && g.live_edges() > 0 {
+        g.snapshot_into(&mut rk.snapshot);
         // epoch randomness is keyed by the epoch counter, never by
         // thread count: bit-identical for any pool size
         let seed = cfg
@@ -1306,6 +1310,37 @@ mod tests {
         }
         assert_eq!(eng.counters().rebuilds, 3, "one epoch per 16 updates");
         assert_invariant(&eng);
+    }
+
+    #[test]
+    fn restore_only_epochs_take_no_snapshot() {
+        // only the class sweep reads the snapshot: a restore-only epoch
+        // must not copy the live graph into it
+        let cfg = DynamicConfig::default()
+            .with_rebuild_threshold(4)
+            .with_rebuild_rounds(0);
+        let mut eng = DynamicMatcher::new(8, cfg);
+        for v in 0..4u32 {
+            eng.apply(UpdateOp::insert(v, v + 1, 3 + v as u64)).unwrap();
+        }
+        assert_eq!(eng.counters().rebuilds, 1);
+        assert!(eng.graph().live_edges() > 0);
+        assert_eq!(eng.core.rebuild.snapshot.edge_count(), 0);
+        assert_invariant(&eng);
+    }
+
+    #[test]
+    fn bootstrap_arena_reaches_the_high_water_mark() {
+        // `from_graph` converges on a searcher arena sized to the whole
+        // graph; telemetry must see it before any update
+        let mut rng = StdRng::seed_from_u64(43);
+        let g = generators::gnp(500, 0.01, WeightModel::Uniform { lo: 1, hi: 9 }, &mut rng);
+        let eng = DynamicMatcher::from_graph(&g, DynamicConfig::default()).unwrap();
+        assert!(
+            eng.scratch_high_water() >= 500,
+            "{}",
+            eng.scratch_high_water()
+        );
     }
 
     #[test]

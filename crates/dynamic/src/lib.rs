@@ -21,7 +21,10 @@
 //! [`AugSearcher`](wmatch_graph::aug_search::AugSearcher) from
 //! `wmatch-graph` with each vertex's distance to the seeds: the search
 //! never extends a walk that cannot reach a seed, and returns exactly
-//! what a scan of the whole ball would. It is the same searcher (and the
+//! what a scan of the whole ball would. A rim vertex (at distance
+//! `max_len`) can only be the far end of such a walk, so the sub-instance
+//! holds only the edges of the ball's interior and the search starts no
+//! walk at the rim. It is the same searcher (and the
 //! same epoch-stamped [`Scratch`](wmatch_graph::Scratch) arenas) the
 //! offline machinery runs on, so the dynamic and static notions of "no
 //! short augmentation" agree by construction. Whole-graph restores — the

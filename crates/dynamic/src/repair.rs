@@ -40,7 +40,10 @@ pub(crate) struct FixOutcome {
 /// Local ids are handed out in BFS order, so `depth[l]` — the ball BFS
 /// depth of local vertex `l`, its distance to the dirty set — is the seed
 /// distance of the anchored search, and the search only walks where a
-/// new positive component can be.
+/// new positive component can be. The order also puts the seeds first
+/// and the interior (depth below `max_len`) before the rim (depth
+/// exactly `max_len`): the sub-instance takes its edges from the
+/// interior alone, and the search skips every rim start.
 #[derive(Debug)]
 pub(crate) struct RepairKit {
     pub searcher: AugSearcher,
@@ -118,9 +121,13 @@ impl RepairKit {
         recourse
     }
 
-    /// The largest dense scratch footprint this kit has used.
+    /// The largest dense scratch footprint this kit has used, its
+    /// searcher's included (the bootstrap and global restores size that
+    /// one to the whole graph).
     pub fn scratch_high_water(&self) -> usize {
-        self.scratch.high_water()
+        self.scratch
+            .high_water()
+            .max(self.searcher.scratch_high_water())
     }
 
     /// Applies best local augmentations until none with positive gain
@@ -219,6 +226,16 @@ impl RepairKit {
     /// `self.removed`. Returns the gain, or `None` when the invariant
     /// holds.
     ///
+    /// In a walk of at most `max_len` edges through a seed, a vertex at
+    /// depth `max_len` or more can only be the far end, with the seed at
+    /// the other. So the sub-instance holds only the edges of the
+    /// interior vertices (depth below `max_len`): the edges it leaves out
+    /// join two vertices at depth `max_len` or more, and no such walk
+    /// steps along them. It still holds every ball vertex's matched edge.
+    /// The seeded scan then skips every rim start, whose walks are the
+    /// reverses of walks from the seeds. The result is the full scan's on
+    /// the unreduced sub-instance, edge for edge.
+    ///
     /// The search keeps only walks through a dirty vertex. That is exact
     /// because every caller keeps the dirty set covering every positive
     /// walk: the invariant held before the update, a walk's gain reads
@@ -300,10 +317,14 @@ impl RepairKit {
         if sub_n == 0 {
             return None;
         }
-        // relabelled sub-instance: every live edge with both endpoints in
-        // the extended set, added once from its smaller-local endpoint
+        // relabelled sub-instance: every live edge with an endpoint in the
+        // interior (depth < max_len, a prefix of the BFS order), added
+        // once from its smaller-local endpoint. The edges this leaves out
+        // join two vertices at depth >= max_len, which no walk through a
+        // seed steps along; interior neighbours are all in the ball.
+        let interior = depth.partition_point(|&d| (d as usize) < max_len);
         sub_g.reset(sub_n);
-        for (li, &v) in local_to_global.iter().enumerate() {
+        for (li, &v) in local_to_global[..interior].iter().enumerate() {
             for e in g.incident(v) {
                 if let Some(lw) = ids.get(e.other(v)) {
                     if (lw as usize) > li {
@@ -312,8 +333,9 @@ impl RepairKit {
                 }
             }
         }
+        // a mate's matched edge goes to the ball vertex that added it
         sub_m.reset(sub_n);
-        for (li, &v) in local_to_global.iter().enumerate() {
+        for (li, &v) in local_to_global[..ball_len].iter().enumerate() {
             if let Some(me) = m.matched_edge(v) {
                 let lw = ids.get(me.other(v)).expect("mates are in the sub-instance");
                 if (lw as usize) > li {
@@ -331,14 +353,38 @@ impl RepairKit {
             sub_added,
             sub_removed,
         );
-        // lockstep in unit tests: the seeded search must equal the full
-        // scan of the same sub-instance on every repair
+        // lockstep in unit tests: on every repair, the seeded search of
+        // the reduced sub-instance must equal the full scan of the
+        // unreduced one, every live edge of the extended set with the
+        // matching of every sub-instance vertex
         #[cfg(test)]
         {
+            let mut full_g = Graph::new(sub_n);
+            for (li, &v) in local_to_global.iter().enumerate() {
+                for e in g.incident(v) {
+                    if let Some(lw) = ids.get(e.other(v)) {
+                        if (lw as usize) > li {
+                            full_g.add_edge(li as Vertex, lw, e.weight);
+                        }
+                    }
+                }
+            }
+            let mut full_m = Matching::new(sub_n);
+            for (li, &v) in local_to_global.iter().enumerate() {
+                if let Some(me) = m.matched_edge(v) {
+                    let lw = ids.get(me.other(v)).expect("mates are in the sub-instance");
+                    if (lw as usize) > li {
+                        full_m
+                            .insert(Edge::new(li as Vertex, lw, me.weight))
+                            .expect("matched edges are vertex-disjoint");
+                    }
+                }
+            }
+            assert_eq!(*sub_m, full_m, "the reduced build drops matched edges");
             let (mut full_added, mut full_removed) = (Vec::new(), Vec::new());
             let full = searcher.best_augmentation_into(
-                sub_g,
-                sub_m,
+                &full_g,
+                &full_m,
                 max_len,
                 &mut full_added,
                 &mut full_removed,

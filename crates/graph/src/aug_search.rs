@@ -15,7 +15,11 @@
 //! * **the seeded scan** ([`AugSearcher::best_seeded_augmentation_into`])
 //!   keeps only walks through a *seed* vertex, given each vertex's
 //!   distance to the seeds: a start or branch that can no longer reach a
-//!   seed within `max_len` edges is cut. When every positive walk passes
+//!   seed within `max_len` edges is cut, and so is a start at distance
+//!   exactly `max_len` (the *rim*) after the last seed, whose walks are
+//!   reverses of walks already scanned from a seed. It never steps along
+//!   an edge whose endpoints both lie at distance `max_len` or more, so
+//!   callers may leave those edges out. When every positive walk passes
 //!   through a seed — the dynamic engine's locality argument: the seeds
 //!   are whatever an update or a repair touched — it returns exactly what
 //!   the full scan returns;
@@ -111,6 +115,8 @@ impl Anchor for Everywhere {
 #[derive(Debug, Clone, Copy)]
 struct Seeds<'a> {
     dist: &'a [u32],
+    /// The largest seed id (0 when there is none).
+    last_seed: Vertex,
 }
 
 impl Anchor for Seeds<'_> {
@@ -119,7 +125,11 @@ impl Anchor for Seeds<'_> {
     #[inline(always)]
     fn start(self, start: Vertex, max_len: usize) -> Option<bool> {
         let d = self.dist[start as usize] as usize;
-        (d <= max_len).then_some(d == 0)
+        // a walk from a rim start (distance exactly `max_len`) can meet a
+        // seed only as its last vertex, so the reverse walk from that
+        // seed has the same edges and gain; past the last seed, it was
+        // enumerated first and the strict tie-break keeps it
+        (d < max_len || (d == max_len && start < self.last_seed)).then_some(d == 0)
     }
 
     #[inline(always)]
@@ -239,6 +249,22 @@ impl AugSearcher {
     /// result: a walk without one has gain ≤ 0, which the full scan never
     /// records either.
     ///
+    /// Two facts about the *rim*, the vertices at distance exactly
+    /// `max_len`, cut the work further without changing the result:
+    ///
+    /// * A walk from a rim start meets a seed only as its last vertex,
+    ///   `max_len` edges away, and the reverse walk from that seed has the
+    ///   same edges and gain. A rim start after the last seed is skipped:
+    ///   the reverse was enumerated first, and under the strict tie-break
+    ///   the later copy never wins. Rim starts before the last seed are
+    ///   still searched, so any vertex numbering is exact; numbering the
+    ///   seeds first skips every rim start.
+    /// * No surviving walk steps along an edge whose endpoints both lie
+    ///   at distance `max_len` or more: such a vertex is only a walk's
+    ///   start or its last vertex. `g` may leave those edges out, keeping
+    ///   the others in order, and the result is the same; `m` may still
+    ///   hold them.
+    ///
     /// # Panics
     ///
     /// Panics if `seed_dist` is shorter than the vertex count.
@@ -272,11 +298,14 @@ impl AugSearcher {
         added: &mut Vec<Edge>,
         removed: &mut Vec<Edge>,
     ) -> Option<i128> {
-        assert!(
-            seed_dist.len() >= g.vertex_count(),
-            "one seed distance per vertex"
-        );
-        self.search(g, m, max_len, Seeds { dist: seed_dist });
+        let n = g.vertex_count();
+        assert!(seed_dist.len() >= n, "one seed distance per vertex");
+        let last_seed = seed_dist[..n].iter().rposition(|&d| d == 0).unwrap_or(0);
+        let anchor = Seeds {
+            dist: seed_dist,
+            last_seed: last_seed as Vertex,
+        };
+        self.search(g, m, max_len, anchor);
         self.split_best(m, added, removed)
     }
 
@@ -859,12 +888,72 @@ mod tests {
         assert!(total > 100, "the trials must apply augmentations ({total})");
     }
 
+    /// `g` and `m` relabelled as the dynamic repair numbers a ball: the
+    /// seeds first in ascending order, then BFS order from them, then
+    /// every vertex the BFS missed. Edges are added from their smaller new
+    /// endpoint, in new-id order. Returns the graph, the matching and the
+    /// new id of each vertex.
+    fn relabel_from_seeds(
+        g: &Graph,
+        m: &Matching,
+        seeds: &[Vertex],
+    ) -> (Graph, Matching, Vec<u32>) {
+        let n = g.vertex_count();
+        let mut order: Vec<Vertex> = seeds.to_vec();
+        order.sort_unstable();
+        order.dedup();
+        let mut new_id = vec![u32::MAX; n];
+        for (i, &v) in order.iter().enumerate() {
+            new_id[v as usize] = i as u32;
+        }
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for w in g.neighbors(v) {
+                if new_id[w as usize] == u32::MAX {
+                    new_id[w as usize] = order.len() as u32;
+                    order.push(w);
+                }
+            }
+        }
+        for v in 0..n as Vertex {
+            if new_id[v as usize] == u32::MAX {
+                new_id[v as usize] = order.len() as u32;
+                order.push(v);
+            }
+        }
+        let mut rg = Graph::new(n);
+        let mut rm = Matching::new(n);
+        for (a, &v) in order.iter().enumerate() {
+            let a = a as Vertex;
+            for &eid in g.csr().edge_ids(v) {
+                let e = g.edge(eid as usize);
+                let b = new_id[e.other(v) as usize];
+                if b > a {
+                    rg.add_edge(a, b, e.weight);
+                }
+            }
+            if let Some(me) = m.matched_edge(v) {
+                let b = new_id[me.other(v) as usize];
+                if b > a {
+                    rm.insert(Edge::new(a, b, me.weight)).unwrap();
+                }
+            }
+        }
+        (rg, rm, new_id)
+    }
+
     #[test]
     fn seeded_scan_equals_full_scan_after_local_changes() {
         let mut rng = StdRng::seed_from_u64(61);
         let mut searcher = AugSearcher::new();
         let (mut sa, mut sr, mut fa, mut fr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut found = 0;
+        // how often the two rim facts applied: rim starts after the last
+        // seed in the relabelled form, and edges left out in the reduced
+        let (mut rim_skips, mut dropped) = (0, 0);
+        let (mut ra, mut rr, mut xa, mut xr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for trial in 0..150 {
             let n = rng.gen_range(6..18);
             let edges = rng.gen_range(n..3 * n);
@@ -911,6 +1000,40 @@ mod tests {
                 assert_eq!(seeded, full, "trial {trial}: gains differ");
                 assert_eq!(sa, fa, "trial {trial}: added edges differ");
                 assert_eq!(sr, fr, "trial {trial}: removed edges differ");
+                // (a) numbered as the repair numbers its ball: the seeds
+                // come first, so every rim start is past the last seed
+                let (rg, rm, new_id) = relabel_from_seeds(&g, &m, &seeds);
+                let mut rdist = vec![0; n];
+                for (v, &d) in dist.iter().enumerate() {
+                    rdist[new_id[v] as usize] = d;
+                }
+                rim_skips += rdist.iter().filter(|&&d| d as usize == max_len).count();
+                let got = searcher
+                    .best_seeded_augmentation_into(&rg, &rm, max_len, &rdist, &mut ra, &mut rr);
+                let want = searcher.best_augmentation_into(&rg, &rm, max_len, &mut xa, &mut xr);
+                assert_eq!(got, want, "trial {trial}: relabelled gains differ");
+                assert_eq!(ra, xa, "trial {trial}: relabelled added edges differ");
+                assert_eq!(rr, xr, "trial {trial}: relabelled removed edges differ");
+                assert_eq!(
+                    got, full,
+                    "trial {trial}: relabelling changed the best gain"
+                );
+                // (b) without the edges whose endpoints both lie at seed
+                // distance max_len or more; the matching keeps them
+                let far = |v: Vertex| dist[v as usize] as usize >= max_len;
+                let near: Vec<Edge> = g
+                    .edges()
+                    .iter()
+                    .copied()
+                    .filter(|e| !(far(e.u) && far(e.v)))
+                    .collect();
+                dropped += g.edge_count() - near.len();
+                let reduced = Graph::from_edges(n, near);
+                let got = searcher
+                    .best_seeded_augmentation_into(&reduced, &m, max_len, &dist, &mut ra, &mut rr);
+                assert_eq!(got, full, "trial {trial}: reduced gains differ");
+                assert_eq!(ra, fa, "trial {trial}: reduced added edges differ");
+                assert_eq!(rr, fr, "trial {trial}: reduced removed edges differ");
                 if seeded.is_none() {
                     break;
                 }
@@ -929,6 +1052,8 @@ mod tests {
             found > 50,
             "the perturbations must open augmentations ({found})"
         );
+        assert!(rim_skips > 100, "rim starts must be skipped ({rim_skips})");
+        assert!(dropped > 100, "far edges must be left out ({dropped})");
     }
 
     #[test]
