@@ -23,25 +23,31 @@
 //! engine therefore maintains a dirty set — the update's endpoints,
 //! everything a deferring policy left pending, and every vertex an
 //! applied repair touched — and every positive walk of at most `max_len`
-//! edges passes through it. It builds the radius-`max_len` ball around
-//! the dirty set (extended by the mates of ball vertices, so
-//! neighbourhood gains are computed exactly) and applies the best
-//! augmentation found until none remains. The ball is relabelled into a
-//! compact sub-instance and searched by the reusable [`AugSearcher`]
-//! *from the seeds outward*: the ball BFS depths are the seed distances,
-//! so a walk that cannot reach a dirty vertex within `max_len` edges is
-//! never extended, and the result equals a scan from every ball vertex.
-//! A vertex on the ball's rim (depth `max_len`) can only end such a
-//! walk, with the seed at the other end: the sub-instance takes only the
-//! interior's edges, and the search skips rim starts, whose walks are
-//! reverses of walks from the seeds.
+//! edges passes through it. An augmentation is an alternating walk, so
+//! the repair measures reach along alternating walks: a parity BFS from
+//! the dirty set gives each vertex the fewest edges of an alternating
+//! walk to a seed, per status of the walk's first edge, and its
+//! *alternating ball* (those within `max_len` edges) holds every vertex
+//! such a walk can visit. The ball, extended by the mates of its
+//! vertices so neighbourhood gains are computed exactly, is relabelled
+//! into a compact sub-instance and searched by the reusable
+//! [`AugSearcher`] *from the seeds outward*, applying the best
+//! augmentation found until none remains. A walk is never extended once
+//! no alternating walk within the edges left can reach a dirty vertex,
+//! and the result equals a scan from every vertex of the plain
+//! radius-`max_len` ball, whose BFS order still numbers the
+//! sub-instance. A vertex on the rim (parity distance `max_len`) can only
+//! end such a walk, with the seed at the other end: the sub-instance
+//! leaves out the edges between two rim vertices, and the search skips
+//! rim starts, whose walks are reverses of walks from the seeds.
 //! Everything runs on epoch-stamped [`Scratch`] arenas — no hashing, no
 //! per-update allocation churn once warmed up.
 //!
 //! Whole-graph restores — the bootstrap ([`static_bounded_matching`]),
 //! rebuild and restore-only epochs, and the sentinel heal — run
 //! [`AugSearcher::converge`]: one full scan, then after each applied
-//! augmentation a re-search of only the starts within `max_len` of it.
+//! augmentation a re-search of only the starts with an alternating walk
+//! of at most `max_len` edges to a vertex whose mate it changed.
 
 use std::collections::HashSet;
 use std::error::Error;
@@ -990,8 +996,9 @@ pub(crate) fn run_rebuild_epoch(
 /// after every update.
 ///
 /// The loop is [`AugSearcher::converge`]: one full scan, then after each
-/// applied augmentation a re-search of only the start vertices within
-/// `max_len` of it. The matching is the one a full
+/// applied augmentation a re-search of only the start vertices with an
+/// alternating walk of at most `max_len` edges to a vertex whose mate it
+/// changed. The matching is the one a full
 /// [`best_augmentation`](wmatch_graph::aug_search::best_augmentation)
 /// scan per augmentation reaches, augmentation for augmentation.
 ///

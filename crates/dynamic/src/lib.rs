@@ -16,21 +16,24 @@
 //! can only create new improving components *through the new edge*, a
 //! deletion only ones *touching the freed endpoints*, and an applied
 //! repair only ones touching the vertices it changed. So each update
-//! builds just the radius-`max_len` ball around those seed vertices,
+//! builds just the *alternating ball* of those seed vertices — every
+//! vertex with an alternating walk of at most `max_len` edges to a seed,
+//! found by the [`ParityBfs`](wmatch_graph::aug_search::ParityBfs) —
 //! relabels it into a compact sub-instance, and hands it to the exhaustive
 //! [`AugSearcher`](wmatch_graph::aug_search::AugSearcher) from
-//! `wmatch-graph` with each vertex's distance to the seeds: the search
-//! never extends a walk that cannot reach a seed, and returns exactly
-//! what a scan of the whole ball would. A rim vertex (at distance
-//! `max_len`) can only be the far end of such a walk, so the sub-instance
-//! holds only the edges of the ball's interior and the search starts no
-//! walk at the rim. It is the same searcher (and the
+//! `wmatch-graph` with each vertex's parity distances to the seeds: the
+//! search never extends a walk that cannot reach a seed by an
+//! alternating walk in the edges left, and returns exactly what a scan
+//! of the whole radius-`max_len` ball would. A rim vertex (at parity
+//! distance `max_len`) can only be the far end of such a walk, so the
+//! sub-instance leaves out the edges between rim vertices and the search
+//! starts no walk at the rim. It is the same searcher (and the
 //! same epoch-stamped [`Scratch`](wmatch_graph::Scratch) arenas) the
 //! offline machinery runs on, so the dynamic and static notions of "no
 //! short augmentation" agree by construction. Whole-graph restores — the
 //! bootstrap, rebuild epochs, the sentinel heal — run its `converge`
-//! loop, which re-searches only the starts near each applied
-//! augmentation.
+//! loop, which re-searches only the starts with an alternating walk to a
+//! vertex each applied augmentation changed.
 //!
 //! *When* the repair runs is the engine's [`RepairPolicy`]: eagerly after
 //! every update (the default), under a per-update augmentation budget

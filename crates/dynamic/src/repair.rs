@@ -15,7 +15,8 @@
 //! workspace reports (the same symmetric-difference measure the rebuild
 //! epochs and the recompute baseline use).
 
-use wmatch_graph::aug_search::AugSearcher;
+use wmatch_graph::aug_search::{AugSearcher, ParityBfs};
+use wmatch_graph::scratch::EpochMap;
 use wmatch_graph::{Edge, Graph, Matching, Scratch, Vertex};
 
 use crate::dyngraph::DynGraph;
@@ -37,23 +38,34 @@ pub(crate) struct FixOutcome {
 /// and the mutation journal. Everything is persistent — at steady state a
 /// repair allocates nothing.
 ///
-/// Local ids are handed out in BFS order, so `depth[l]` — the ball BFS
-/// depth of local vertex `l`, its distance to the dirty set — is the seed
-/// distance of the anchored search, and the search only walks where a
-/// new positive component can be. The order also puts the seeds first
-/// and the interior (depth below `max_len`) before the rim (depth
-/// exactly `max_len`): the sub-instance takes its edges from the
-/// interior alone, and the search skips every rim start.
+/// A search first runs the [`ParityBfs`] from the dirty seeds: its
+/// *alternating ball* A is every vertex with an alternating walk of at
+/// most `max_len` edges to a seed, the only vertices a walk through a
+/// seed can visit. Local ids go to A alone, in the order of the plain
+/// ball BFS of radius `max_len` (seeds first), followed by the mates of
+/// A outside it, which the search reads only for their matched edge's
+/// weight. `alt[l]` — local vertex `l`'s parity distances to the seeds,
+/// `max_len + 1` for those mates — is what the anchored search cuts by,
+/// so it only walks where a new positive component can be and skips
+/// every rim start.
 #[derive(Debug)]
 pub(crate) struct RepairKit {
     pub searcher: AugSearcher,
-    /// `scratch.count` doubles as the global→local id map of the ball.
+    /// `scratch.count` maps a vertex of A to its slot in `parity` until
+    /// the ball BFS (`scratch.mark`) reaches it, and to its local id
+    /// after.
     pub scratch: Scratch,
+    parity: ParityBfs,
+    /// The ball BFS queue.
+    ball: Vec<Vertex>,
     local_to_global: Vec<Vertex>,
-    /// Distance to the dirty set per local id; the mates added after the
-    /// BFS read `max_len + 1`.
-    depth: Vec<u32>,
+    /// Parity distances per local id.
+    alt: Vec<[u32; 2]>,
     pub dirty: Vec<Vertex>,
+    /// The sub-instance's edges and matched edges, in local ids, buffered
+    /// until its vertex count is known.
+    sub_edges: Vec<Edge>,
+    sub_matched: Vec<Edge>,
     sub_g: Graph,
     sub_m: Matching,
     sub_added: Vec<Edge>,
@@ -71,9 +83,13 @@ impl RepairKit {
         RepairKit {
             searcher: AugSearcher::new(),
             scratch: Scratch::new(),
+            parity: ParityBfs::new(),
+            ball: Vec::new(),
             local_to_global: Vec::new(),
-            depth: Vec::new(),
+            alt: Vec::new(),
             dirty: Vec::new(),
+            sub_edges: Vec::new(),
+            sub_matched: Vec::new(),
             sub_g: Graph::new(0),
             sub_m: Matching::new(0),
             sub_added: Vec::new(),
@@ -218,23 +234,25 @@ impl RepairKit {
         self.searcher.converge(&self.sub_g, m, max_len)
     }
 
-    /// The best positive augmentation (≤ `max_len` edges) in the
-    /// radius-`max_len` ball around the dirty set: the ball (extended by
-    /// the mates of ball vertices, so neighbourhood gains are exact) is
-    /// relabelled into a compact sub-instance, searched from the dirty
-    /// seeds outward, and the winner is unmapped into `self.added` /
+    /// The best positive augmentation (≤ `max_len` edges) through the
+    /// dirty set: the alternating ball A around it (see [`RepairKit`]),
+    /// extended by the mates of its vertices so neighbourhood gains are
+    /// exact, is relabelled into a compact sub-instance, searched from the
+    /// dirty seeds outward, and the winner is unmapped into `self.added` /
     /// `self.removed`. Returns the gain, or `None` when the invariant
     /// holds.
     ///
-    /// In a walk of at most `max_len` edges through a seed, a vertex at
-    /// depth `max_len` or more can only be the far end, with the seed at
-    /// the other. So the sub-instance holds only the edges of the
-    /// interior vertices (depth below `max_len`): the edges it leaves out
-    /// join two vertices at depth `max_len` or more, and no such walk
-    /// steps along them. It still holds every ball vertex's matched edge.
-    /// The seeded scan then skips every rim start, whose walks are the
-    /// reverses of walks from the seeds. The result is the full scan's on
-    /// the unreduced sub-instance, edge for edge.
+    /// Every vertex of a walk that meets a seed within `max_len` edges is
+    /// in A, since its sub-walk to the seed alternates; no such walk
+    /// steps along an edge that leaves A or joins two vertices at parity
+    /// distance `max_len` or more, so the sub-instance holds only the
+    /// other edges. It holds every A vertex's matched edge. A keeps its
+    /// ball BFS order and each kept vertex its edge order, so the seeded
+    /// scan enumerates the surviving walks in the order a full scan of the
+    /// whole ball (plus mates, with every edge) does, and returns its
+    /// result: the same gain and added edges, and the same removed edges
+    /// up to the orientation of a matched edge to an appended mate, which
+    /// [`Matching::remove_pair`] ignores.
     ///
     /// The search keeps only walks through a dirty vertex. That is exact
     /// because every caller keeps the dirty set covering every positive
@@ -257,9 +275,13 @@ impl RepairKit {
         let RepairKit {
             searcher,
             scratch,
+            parity,
+            ball,
             local_to_global,
-            depth,
+            alt,
             dirty,
+            sub_edges,
+            sub_matched,
             sub_g,
             sub_m,
             sub_added,
@@ -268,137 +290,127 @@ impl RepairKit {
             removed,
             ..
         } = self;
-        let ids = &mut scratch.count; // global vertex -> local id
-        local_to_global.clear();
-        depth.clear();
         // canonical seed order makes the search independent of the order
         // augmentations reported their touched vertices
         dirty.sort_unstable();
         dirty.dedup();
+        let ids = &mut scratch.count;
+        parity.run(
+            dirty.iter().copied(),
+            max_len,
+            ids,
+            |v| m.mate(v),
+            |v| g.incident(v).map(move |e| e.other(v)),
+        );
+        // the plain BFS ball of radius max_len, only to number A in its
+        // order: a vertex of A gets its local id when the BFS first meets
+        // it, and `ids` then holds that id in place of its parity slot
+        let seen = &mut scratch.mark;
+        let number =
+            |v: Vertex, ids: &mut EpochMap<u32>, l2g: &mut Vec<Vertex>, alt: &mut Vec<_>| {
+                if let Some(slot) = ids.get(v) {
+                    ids.insert(v, l2g.len() as u32);
+                    l2g.push(v);
+                    alt.push(parity.alt()[slot as usize]);
+                }
+            };
+        local_to_global.clear();
+        alt.clear();
+        ball.clear();
+        sub_edges.clear();
         for &d in dirty.iter() {
-            if !ids.contains(d) {
-                ids.insert(d, local_to_global.len() as u32);
-                local_to_global.push(d);
-                depth.push(0);
-            }
+            seen.insert(d);
+            ball.push(d);
+            number(d, ids, local_to_global, alt);
         }
-        // BFS ball of radius max_len over the live adjacency; local ids
-        // are the BFS order, so `local_to_global` is its queue
-        let mut head = 0;
-        while head < local_to_global.len() {
-            let (v, dv) = (local_to_global[head], depth[head]);
-            head += 1;
-            if dv as usize >= max_len {
+        // the sub-instance keeps an edge between two vertices of A unless
+        // both lie at parity distance max_len or more. Each goes out when
+        // the BFS scans its smaller-id end, whose neighbours all hold
+        // their ids by then, so in the order of a pass over A. That end
+        // lies inside radius max_len, which the BFS scans: from a vertex
+        // at BFS depth max_len, every later id is at that depth too, so
+        // both ends lie at parity distance max_len or more
+        let rim = |a: [u32; 2]| a[0].min(a[1]) as usize >= max_len;
+        let mut level = 0..ball.len();
+        for _ in 0..max_len {
+            let next = level.end;
+            for i in level {
+                let v = ball[i];
+                let lv = ids.get(v);
+                for e in g.incident(v) {
+                    let w = e.other(v);
+                    if seen.insert(w) {
+                        ball.push(w);
+                        number(w, ids, local_to_global, alt);
+                    }
+                    if let (Some(li), Some(lw)) = (lv, ids.get(w)) {
+                        if lw > li && !(rim(alt[li as usize]) && rim(alt[lw as usize])) {
+                            sub_edges.push(Edge::new(li, lw, e.weight));
+                        }
+                    }
+                }
+            }
+            level = next..ball.len();
+        }
+        // extend by the mates of A, so neighbourhood gains are exact; a
+        // matched edge goes to the sub-matching from its smaller local id
+        sub_matched.clear();
+        let a_len = local_to_global.len();
+        for li in 0..a_len {
+            let v = local_to_global[li];
+            let Some(me) = m.matched_edge(v) else {
                 continue;
-            }
-            for e in g.incident(v) {
-                let w = e.other(v);
-                if !ids.contains(w) {
-                    ids.insert(w, local_to_global.len() as u32);
-                    local_to_global.push(w);
-                    depth.push(dv + 1);
+            };
+            let w = me.other(v);
+            let lw = match ids.get(w) {
+                // A lies inside the ball, so its vertices are numbered
+                Some(lw) => {
+                    debug_assert!(seen.contains(w), "the ball BFS numbered all of A");
+                    lw as usize
                 }
-            }
-        }
-        // extend by mates so neighbourhood gains are exact at the border
-        let ball_len = local_to_global.len();
-        for i in 0..ball_len {
-            let v = local_to_global[i];
-            if let Some(me) = m.matched_edge(v) {
-                let w = me.other(v);
-                if !ids.contains(w) {
-                    ids.insert(w, local_to_global.len() as u32);
+                None => {
                     local_to_global.push(w);
-                    depth.push(max_len as u32 + 1);
+                    alt.push([max_len as u32 + 1; 2]);
+                    local_to_global.len() - 1
                 }
+            };
+            if lw > li {
+                sub_matched.push(Edge::new(li as Vertex, lw as Vertex, me.weight));
             }
         }
         let sub_n = local_to_global.len();
         if sub_n == 0 {
             return None;
         }
-        // relabelled sub-instance: every live edge with an endpoint in the
-        // interior (depth < max_len, a prefix of the BFS order), added
-        // once from its smaller-local endpoint. The edges this leaves out
-        // join two vertices at depth >= max_len, which no walk through a
-        // seed steps along; interior neighbours are all in the ball.
-        let interior = depth.partition_point(|&d| (d as usize) < max_len);
         sub_g.reset(sub_n);
-        for (li, &v) in local_to_global[..interior].iter().enumerate() {
-            for e in g.incident(v) {
-                if let Some(lw) = ids.get(e.other(v)) {
-                    if (lw as usize) > li {
-                        sub_g.add_edge(li as Vertex, lw, e.weight);
-                    }
-                }
-            }
+        for e in sub_edges.iter() {
+            sub_g.add_edge(e.u, e.v, e.weight);
         }
-        // a mate's matched edge goes to the ball vertex that added it
         sub_m.reset(sub_n);
-        for (li, &v) in local_to_global[..ball_len].iter().enumerate() {
-            if let Some(me) = m.matched_edge(v) {
-                let lw = ids.get(me.other(v)).expect("mates are in the sub-instance");
-                if (lw as usize) > li {
-                    sub_m
-                        .insert(Edge::new(li as Vertex, lw, me.weight))
-                        .expect("matched edges are vertex-disjoint");
-                }
-            }
+        for &e in sub_matched.iter() {
+            sub_m.insert(e).expect("matched edges are vertex-disjoint");
         }
         let found = searcher.best_seeded_augmentation_into(
             sub_g,
             sub_m,
             max_len,
-            depth,
+            alt,
             sub_added,
             sub_removed,
         );
-        // lockstep in unit tests: on every repair, the seeded search of
-        // the reduced sub-instance must equal the full scan of the
-        // unreduced one, every live edge of the extended set with the
-        // matching of every sub-instance vertex
+        // unit tests check every repair against the full scan of the
+        // unreduced ball
         #[cfg(test)]
-        {
-            let mut full_g = Graph::new(sub_n);
-            for (li, &v) in local_to_global.iter().enumerate() {
-                for e in g.incident(v) {
-                    if let Some(lw) = ids.get(e.other(v)) {
-                        if (lw as usize) > li {
-                            full_g.add_edge(li as Vertex, lw, e.weight);
-                        }
-                    }
-                }
-            }
-            let mut full_m = Matching::new(sub_n);
-            for (li, &v) in local_to_global.iter().enumerate() {
-                if let Some(me) = m.matched_edge(v) {
-                    let lw = ids.get(me.other(v)).expect("mates are in the sub-instance");
-                    if (lw as usize) > li {
-                        full_m
-                            .insert(Edge::new(li as Vertex, lw, me.weight))
-                            .expect("matched edges are vertex-disjoint");
-                    }
-                }
-            }
-            assert_eq!(*sub_m, full_m, "the reduced build drops matched edges");
-            let (mut full_added, mut full_removed) = (Vec::new(), Vec::new());
-            let full = searcher.best_augmentation_into(
-                &full_g,
-                &full_m,
-                max_len,
-                &mut full_added,
-                &mut full_removed,
-            );
-            assert_eq!(found, full, "seeded and full scans disagree on the gain");
-            assert_eq!(
-                *sub_added, full_added,
-                "seeded and full scans add different edges"
-            );
-            assert_eq!(
-                *sub_removed, full_removed,
-                "seeded and full scans remove different edges"
-            );
-        }
+        lockstep::check(
+            g,
+            m,
+            dirty,
+            max_len,
+            found,
+            local_to_global,
+            sub_added,
+            sub_removed,
+        );
         let gain = found?;
         added.clear();
         removed.clear();
@@ -486,6 +498,115 @@ pub(crate) fn repair_op(
         out.augmentations += fix.augmentations;
     }
     out
+}
+
+#[cfg(test)]
+mod lockstep {
+    use std::collections::hash_map::{Entry, HashMap};
+
+    use super::*;
+
+    /// The unit-test lockstep of every repair: the kit's seeded search of
+    /// its reduced sub-instance (`found`, with `added`/`removed` in the
+    /// local ids of `local_to_global`) must equal, in global edges, the
+    /// full scan of the plain ball — every vertex within BFS distance
+    /// `max_len` of the sorted `seeds`, in BFS order, then their mates —
+    /// with every live edge among them and every vertex's matched edge.
+    /// The gain and added edges must agree exactly, the removed edges as
+    /// (endpoint pair, weight) sets.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn check(
+        g: &DynGraph,
+        m: &Matching,
+        seeds: &[Vertex],
+        max_len: usize,
+        found: Option<i128>,
+        local_to_global: &[Vertex],
+        added: &[Edge],
+        removed: &[Edge],
+    ) {
+        let mut ids: HashMap<Vertex, Vertex> = HashMap::new();
+        let (mut order, mut depth) = (Vec::new(), Vec::new());
+        for &s in seeds {
+            ids.insert(s, order.len() as Vertex);
+            order.push(s);
+            depth.push(0);
+        }
+        let mut head = 0;
+        while head < order.len() {
+            let (v, d) = (order[head], depth[head]);
+            head += 1;
+            if d < max_len {
+                for e in g.incident(v) {
+                    let w = e.other(v);
+                    if let Entry::Vacant(id) = ids.entry(w) {
+                        id.insert(order.len() as Vertex);
+                        order.push(w);
+                        depth.push(d + 1);
+                    }
+                }
+            }
+        }
+        for i in 0..order.len() {
+            if let Some(w) = m.mate(order[i]) {
+                if let Entry::Vacant(id) = ids.entry(w) {
+                    id.insert(order.len() as Vertex);
+                    order.push(w);
+                }
+            }
+        }
+        let mut full_g = Graph::new(order.len());
+        let mut full_m = Matching::new(order.len());
+        for (li, &v) in order.iter().enumerate() {
+            let li = li as Vertex;
+            for e in g.incident(v) {
+                match ids.get(&e.other(v)) {
+                    Some(&lw) if lw > li => {
+                        full_g.add_edge(li, lw, e.weight);
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(me) = m.matched_edge(v) {
+                let lw = ids[&me.other(v)];
+                if lw > li {
+                    full_m
+                        .insert(Edge::new(li, lw, me.weight))
+                        .expect("matched edges are vertex-disjoint");
+                }
+            }
+        }
+        let (mut full_added, mut full_removed) = (Vec::new(), Vec::new());
+        let full = AugSearcher::new().best_augmentation_into(
+            &full_g,
+            &full_m,
+            max_len,
+            &mut full_added,
+            &mut full_removed,
+        );
+        assert_eq!(found, full, "seeded and full scans disagree on the gain");
+        let global = |ids: &[Vertex], edges: &[Edge]| -> Vec<Edge> {
+            edges
+                .iter()
+                .map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.weight))
+                .collect()
+        };
+        assert_eq!(
+            global(local_to_global, added),
+            global(&order, &full_added),
+            "seeded and full scans add different edges"
+        );
+        let pairs = |edges: Vec<Edge>| {
+            let mut keys: Vec<_> = edges.iter().map(|e| (e.key(), e.weight)).collect();
+            keys.sort_unstable();
+            keys
+        };
+        assert_eq!(
+            pairs(global(local_to_global, removed)),
+            pairs(global(&order, &full_removed)),
+            "seeded and full scans remove different edges"
+        );
+    }
 }
 
 #[cfg(test)]

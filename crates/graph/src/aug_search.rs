@@ -14,22 +14,31 @@
 //!   vertex;
 //! * **the seeded scan** ([`AugSearcher::best_seeded_augmentation_into`])
 //!   keeps only walks through a *seed* vertex, given each vertex's
-//!   distance to the seeds: a start or branch that can no longer reach a
-//!   seed within `max_len` edges is cut, and so is a start at distance
-//!   exactly `max_len` (the *rim*) after the last seed, whose walks are
-//!   reverses of walks already scanned from a seed. It never steps along
-//!   an edge whose endpoints both lie at distance `max_len` or more, so
-//!   callers may leave those edges out. When every positive walk passes
-//!   through a seed — the dynamic engine's locality argument: the seeds
-//!   are whatever an update or a repair touched — it returns exactly what
-//!   the full scan returns;
+//!   parity distances to the seeds (below): a start or branch that can no
+//!   longer reach a seed by an alternating walk within `max_len` edges is
+//!   cut, and so is a start at parity distance exactly `max_len` (the
+//!   *rim*) after the last seed, whose walks are reverses of walks
+//!   already scanned from a seed. It never steps along an edge whose
+//!   endpoints both lie at parity distance `max_len` or more, or onto a
+//!   vertex beyond it, so callers may leave those edges out. When every
+//!   positive walk passes through a seed — the dynamic engine's locality
+//!   argument: the seeds are whatever an update or a repair touched — it
+//!   returns exactly what the full scan returns;
 //! * **[`AugSearcher::converge`]** applies best augmentations until none
 //!   is left, with one full scan up front and, after each applied
-//!   augmentation, a re-search of only the starts within `max_len` of it.
+//!   augmentation, a re-search of only the starts with an alternating
+//!   walk of at most `max_len` edges to a vertex whose mate it changed.
 //!
 //! All three enumerate walks in the same order — start vertex, then CSR
 //! order — and keep the same tie-break: the first walk to reach the
 //! strictly largest gain wins.
+//!
+//! Both bounded scopes measure reach the way an augmentation travels,
+//! along alternating walks, not by plain BFS distance: the
+//! [`ParityBfs`] gives each vertex the fewest edges of an alternating
+//! walk to a source set, once per status (matched or not) of the walk's
+//! first edge. The dynamic repair kit runs the same BFS to build its
+//! search instance from only the vertices such a walk can visit.
 //!
 //! The searcher runs on the flat hot path: neighbourhood scans read the
 //! graph's cached [`CsrView`](crate::CsrView) slices, the visited set is
@@ -43,7 +52,7 @@ use crate::alternating::Augmentation;
 use crate::edge::{Edge, Vertex};
 use crate::graph::Graph;
 use crate::matching::Matching;
-use crate::scratch::Scratch;
+use crate::scratch::{EpochMap, Scratch};
 
 /// Finds the best augmentation (alternating path or cycle, at most
 /// `max_len` edges on the component) with strictly positive gain, or `None`
@@ -69,6 +78,151 @@ pub fn best_augmentation(g: &Graph, m: &Matching, max_len: usize) -> Option<Augm
     AugSearcher::new().best_augmentation(g, m, max_len)
 }
 
+/// Parity distances to a source set: the BFS that bounds every
+/// augmentation search by alternating reach.
+///
+/// The *status* of an edge is *matched* when its endpoint pair is matched
+/// (`m.contains(&e)`, so every parallel copy of a matched pair is
+/// matched), else *unmatched*. The parity distance `alt[v][b]` is the
+/// fewest edges of an alternating walk from `v` to a source whose first
+/// edge has status `b` (0 unmatched, 1 matched): `[0, 0]` at the sources,
+/// and `max_len + 1` where no such walk has at most `max_len` edges. It
+/// is at least `v`'s BFS distance to the sources.
+///
+/// The BFS runs over (vertex, status) states. A state entered along an
+/// edge of status `b` leaves only along edges of status `¬b`, and a
+/// source leaves along both: the matched exit is one mate lookup, the
+/// unmatched exits are the neighbours other than the mate. It reaches
+/// every vertex with an alternating walk of at most `max_len` edges to a
+/// source — the *alternating ball*.
+///
+/// The instance is read through two closures, so the same code runs on a
+/// static [`Graph`] and on any other adjacency store. The vertex→slot map
+/// is the caller's [`EpochMap`], and the rest grows only with the ball.
+///
+/// # Example
+///
+/// ```
+/// use wmatch_graph::aug_search::ParityBfs;
+/// use wmatch_graph::scratch::EpochMap;
+/// use wmatch_graph::{generators, Matching};
+///
+/// // the path 0-1-2-3 with {1,2} matched, seeded at 0
+/// let g = generators::path_graph(&[1, 1, 1]);
+/// let m = Matching::from_edges(4, [g.edge(1)]).unwrap();
+/// let (mut bfs, mut slots) = (ParityBfs::new(), EpochMap::new());
+/// slots.ensure(4);
+/// let csr = g.csr();
+/// bfs.run([0], 3, &mut slots, |v| m.mate(v), |v| csr.neighbors(v).iter().copied());
+/// let alt = |v| bfs.alt()[slots.get(v).unwrap() as usize];
+/// assert_eq!(alt(0), [0, 0]);
+/// assert_eq!(alt(1), [1, 4]); // 1 reaches 0 only along its unmatched edge
+/// assert_eq!(alt(2), [4, 2]); // 2-1-0: matched, then unmatched
+/// assert_eq!(alt(3), [3, 4]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ParityBfs {
+    /// The vertices reached, by slot: in the order first reached.
+    reached: Vec<Vertex>,
+    /// Parity distances, by slot.
+    alt: Vec<[u32; 2]>,
+    /// The FIFO of states, `slot << 1 | status`.
+    queue: Vec<u32>,
+}
+
+impl ParityBfs {
+    /// An empty BFS.
+    pub fn new() -> Self {
+        ParityBfs::default()
+    }
+
+    /// Runs the BFS from `sources` (duplicates allowed) up to `max_len`
+    /// edges. `mate(v)` is `v`'s mate and `neighbours(v)` the other
+    /// endpoints of `v`'s edges; a neighbour equal to the mate is skipped,
+    /// so parallel copies of a matched pair count as matched.
+    ///
+    /// `slots` must cover every vertex; it is cleared, and left mapping
+    /// each reached vertex to its slot in [`ParityBfs::reached`] and
+    /// [`ParityBfs::alt`]. Unreached vertices stay unbound.
+    pub fn run<N: IntoIterator<Item = Vertex>>(
+        &mut self,
+        sources: impl IntoIterator<Item = Vertex>,
+        max_len: usize,
+        slots: &mut EpochMap<u32>,
+        mate: impl Fn(Vertex) -> Option<Vertex>,
+        neighbours: impl Fn(Vertex) -> N,
+    ) {
+        let cap = max_len as u32 + 1;
+        self.reached.clear();
+        self.alt.clear();
+        self.queue.clear();
+        slots.clear();
+        for s in sources {
+            if !slots.contains(s) {
+                let slot = self.reached.len() as u32;
+                slots.insert(s, slot);
+                self.reached.push(s);
+                self.alt.push([0, 0]);
+                // a source leaves along both statuses
+                self.queue.extend([slot << 1, slot << 1 | 1]);
+            }
+        }
+        let mut head = 0;
+        while head < self.queue.len() {
+            let state = self.queue[head];
+            head += 1;
+            let (slot, entered) = ((state >> 1) as usize, (state & 1) as usize);
+            let d = self.alt[slot][entered];
+            if d as usize >= max_len {
+                break; // FIFO order: every later state is this far too
+            }
+            let v = self.reached[slot];
+            let mate_v = mate(v);
+            if entered == 0 {
+                if let Some(w) = mate_v {
+                    self.reach(slots, w, 1, d + 1, cap);
+                }
+            } else {
+                for w in neighbours(v) {
+                    if Some(w) != mate_v {
+                        self.reach(slots, w, 0, d + 1, cap);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Enters state (`w`, `status`) at distance `d` unless already seen.
+    #[inline]
+    fn reach(&mut self, slots: &mut EpochMap<u32>, w: Vertex, status: usize, d: u32, cap: u32) {
+        let slot = match slots.get(w) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.reached.len() as u32;
+                slots.insert(w, slot);
+                self.reached.push(w);
+                self.alt.push([cap, cap]);
+                slot
+            }
+        };
+        let seen = &mut self.alt[slot as usize][status];
+        if *seen == cap {
+            *seen = d;
+            self.queue.push(slot << 1 | status as u32);
+        }
+    }
+
+    /// The vertices the last run reached, by slot: the alternating ball.
+    pub fn reached(&self) -> &[Vertex] {
+        &self.reached
+    }
+
+    /// The parity distances of the last run, by slot.
+    pub fn alt(&self) -> &[[u32; 2]] {
+        &self.alt
+    }
+}
+
 /// Which walks a search may record, and which it may cut early. The DFS
 /// is monomorphized over it: the full scan's [`Everywhere`] is zero-sized
 /// with a unit state, so its instance carries no extra argument and no
@@ -79,9 +233,11 @@ trait Anchor: Copy {
     /// The state of the one-vertex walk at `start`, or `None` when no
     /// walk of at most `max_len` edges from `start` can be recorded.
     fn start(self, start: Vertex, max_len: usize) -> Option<Self::State>;
-    /// The state after the walk steps to `next` with `left` edges still
-    /// allowed, or `None` when no extension from `next` can be recorded.
-    fn step(self, state: Self::State, next: Vertex, left: usize) -> Option<Self::State>;
+    /// The state after the walk steps to `next` along an edge of status
+    /// `in_m` with `left` edges still allowed, or `None` when no
+    /// extension from `next` can be recorded.
+    fn step(self, state: Self::State, next: Vertex, in_m: bool, left: usize)
+        -> Option<Self::State>;
     /// Whether a walk in `state` may be recorded.
     fn records(state: Self::State) -> bool;
 }
@@ -99,7 +255,7 @@ impl Anchor for Everywhere {
     }
 
     #[inline(always)]
-    fn step(self, _: (), _: Vertex, _: usize) -> Option<()> {
+    fn step(self, _: (), _: Vertex, _: bool, _: usize) -> Option<()> {
         Some(())
     }
 
@@ -109,12 +265,13 @@ impl Anchor for Everywhere {
     }
 }
 
-/// The seeded scan: only walks through a seed count. `dist[v]` is 0 at
-/// the seeds and a lower bound on the distance to the nearest seed
-/// elsewhere; the state says whether the walk has met a seed yet.
+/// The seeded scan: only walks through a seed count. `alt[v]` is `[0, 0]`
+/// at the seeds and elsewhere a lower bound on `v`'s parity distances
+/// (see [`ParityBfs`]); the state says whether the walk has met a seed
+/// yet.
 #[derive(Debug, Clone, Copy)]
 struct Seeds<'a> {
-    dist: &'a [u32],
+    alt: &'a [[u32; 2]],
     /// The largest seed id (0 when there is none).
     last_seed: Vertex,
 }
@@ -124,20 +281,23 @@ impl Anchor for Seeds<'_> {
 
     #[inline(always)]
     fn start(self, start: Vertex, max_len: usize) -> Option<bool> {
-        let d = self.dist[start as usize] as usize;
-        // a walk from a rim start (distance exactly `max_len`) can meet a
-        // seed only as its last vertex, so the reverse walk from that
-        // seed has the same edges and gain; past the last seed, it was
-        // enumerated first and the strict tie-break keeps it
+        let [a, b] = self.alt[start as usize];
+        let d = a.min(b) as usize;
+        // a walk from a rim start (parity distance exactly `max_len`) can
+        // meet a seed only as its last vertex, so the reverse walk from
+        // that seed has the same edges and gain; past the last seed, it
+        // was enumerated first and the strict tie-break keeps it
         (d < max_len || (d == max_len && start < self.last_seed)).then_some(d == 0)
     }
 
     #[inline(always)]
-    fn step(self, hit: bool, next: Vertex, left: usize) -> Option<bool> {
+    fn step(self, hit: bool, next: Vertex, in_m: bool, left: usize) -> Option<bool> {
         if hit {
             return Some(true);
         }
-        let d = self.dist[next as usize] as usize;
+        // the rest of the walk to a seed leaves `next` along the other
+        // status
+        let d = self.alt[next as usize][usize::from(!in_m)] as usize;
         (d <= left).then_some(d == 0)
     }
 
@@ -173,11 +333,15 @@ pub struct AugSearcher {
     best_gain: i128,
     /// [`AugSearcher::converge`]'s best gain per start vertex.
     gains: Vec<i128>,
-    /// [`AugSearcher::converge`]'s BFS queue of starts to re-search.
-    frontier: Vec<Vertex>,
-    /// [`AugSearcher::converge`]'s split of the current winner.
+    /// [`AugSearcher::converge`]'s split of the current winner, and the
+    /// starts that reach a vertex whose mate it changed.
     added: Vec<Edge>,
     removed: Vec<Edge>,
+    stale: ParityBfs,
+    /// Summed over every `converge` round: the starts re-searched, and
+    /// the starts within BFS distance `max_len` of a changed vertex.
+    #[cfg(test)]
+    stale_counts: [usize; 2],
 }
 
 impl AugSearcher {
@@ -236,11 +400,17 @@ impl AugSearcher {
     }
 
     /// [`AugSearcher::best_augmentation_into`] restricted to walks that
-    /// pass through a *seed*: `seed_dist[v]` (one entry per vertex) is 0
-    /// exactly at the seeds, and elsewhere at most `v`'s distance to the
-    /// nearest seed — BFS depths from the seeds qualify, and anything
-    /// farther than `max_len` may be capped at `max_len + 1`. A start or
-    /// branch that cannot reach a seed within the remaining length is cut.
+    /// pass through a *seed*: `seed_alt[v]` (one entry per vertex) is
+    /// `[0, 0]` exactly at the seeds, and elsewhere at most `v`'s parity
+    /// distances to the seeds — the fewest edges of an alternating walk to
+    /// a seed whose first edge is unmatched, and matched (see
+    /// [`ParityBfs`]). Anything farther than `max_len` may be capped at
+    /// `max_len + 1`. A start whose smaller parity distance exceeds
+    /// `max_len` is skipped. A branch into `next` along an edge of status
+    /// `s`, before the walk has met a seed, is cut when `next`'s distance
+    /// for status `¬s` exceeds the edges left: the rest of the walk from
+    /// `next` to a seed would be an alternating walk starting with status
+    /// `¬s`, so no cut branch could ever be recorded.
     ///
     /// The surviving walks are enumerated in the full scan's order with
     /// its tie-break, so the winner is the full scan's winner among walks
@@ -249,8 +419,9 @@ impl AugSearcher {
     /// result: a walk without one has gain ≤ 0, which the full scan never
     /// records either.
     ///
-    /// Two facts about the *rim*, the vertices at distance exactly
-    /// `max_len`, cut the work further without changing the result:
+    /// Two facts about the *rim*, the vertices whose smaller parity
+    /// distance is exactly `max_len`, cut the work further without
+    /// changing the result:
     ///
     /// * A walk from a rim start meets a seed only as its last vertex,
     ///   `max_len` edges away, and the reverse walk from that seed has the
@@ -260,33 +431,39 @@ impl AugSearcher {
     ///   still searched, so any vertex numbering is exact; numbering the
     ///   seeds first skips every rim start.
     /// * No surviving walk steps along an edge whose endpoints both lie
-    ///   at distance `max_len` or more: such a vertex is only a walk's
-    ///   start or its last vertex. `g` may leave those edges out, keeping
-    ///   the others in order, and the result is the same; `m` may still
-    ///   hold them.
+    ///   at parity distance `max_len` or more, or onto a vertex beyond
+    ///   `max_len`: such a vertex is only a walk's start or its last
+    ///   vertex. `g` may leave those edges out, keeping the others in
+    ///   order, and the result is the same; `m` must still hold the
+    ///   matched edge of every vertex within `max_len`.
     ///
     /// # Panics
     ///
-    /// Panics if `seed_dist` is shorter than the vertex count.
+    /// Panics if `seed_alt` is shorter than the vertex count.
     ///
     /// # Example
     ///
     /// ```
     /// use wmatch_graph::{Edge, Graph, Matching, aug_search::AugSearcher};
     ///
-    /// // two disjoint unmatched edges; only the one at seed 2 is searched
-    /// let mut g = Graph::new(4);
-    /// g.add_edge(0, 1, 9);
-    /// g.add_edge(2, 3, 4);
-    /// let m = Matching::new(4);
-    /// let dist = [2, 2, 0, 1]; // 0 and 1 are out of reach: any cap > 1
+    /// // the path 0-1-2-3 with {1,2} matched, and the edge 4-5 apart
+    /// let mut g = Graph::new(6);
+    /// g.add_edge(0, 1, 3);
+    /// g.add_edge(1, 2, 1);
+    /// g.add_edge(2, 3, 3);
+    /// g.add_edge(4, 5, 9);
+    /// let m = Matching::from_edges(6, [Edge::new(1, 2, 1)]).unwrap();
+    /// // parity distances to seed 0 at max_len 3, capped at 4: 4 and 5
+    /// // are out of reach, and 2 reaches 0 only by first taking its
+    /// // matched edge, so a walk that enters 2 along it is cut there
+    /// let alt = [[0, 0], [1, 4], [4, 2], [3, 4], [4, 4], [4, 4]];
     /// let (mut added, mut removed) = (Vec::new(), Vec::new());
     /// let mut s = AugSearcher::new();
-    /// let gain = s.best_seeded_augmentation_into(&g, &m, 1, &dist, &mut added, &mut removed);
-    /// assert_eq!(gain, Some(4));
-    /// assert_eq!(added, [Edge::new(2, 3, 4)]);
+    /// let gain = s.best_seeded_augmentation_into(&g, &m, 3, &alt, &mut added, &mut removed);
+    /// assert_eq!(gain, Some(5));
+    /// assert_eq!(added, [Edge::new(0, 1, 3), Edge::new(2, 3, 3)]);
     /// // the full scan takes the heavier edge, which no seed reaches
-    /// let gain = s.best_augmentation_into(&g, &m, 1, &mut added, &mut removed);
+    /// let gain = s.best_augmentation_into(&g, &m, 3, &mut added, &mut removed);
     /// assert_eq!(gain, Some(9));
     /// ```
     pub fn best_seeded_augmentation_into(
@@ -294,15 +471,15 @@ impl AugSearcher {
         g: &Graph,
         m: &Matching,
         max_len: usize,
-        seed_dist: &[u32],
+        seed_alt: &[[u32; 2]],
         added: &mut Vec<Edge>,
         removed: &mut Vec<Edge>,
     ) -> Option<i128> {
         let n = g.vertex_count();
-        assert!(seed_dist.len() >= n, "one seed distance per vertex");
-        let last_seed = seed_dist[..n].iter().rposition(|&d| d == 0).unwrap_or(0);
+        assert!(seed_alt.len() >= n, "one parity pair per vertex");
+        let last_seed = seed_alt[..n].iter().rposition(|a| a[0] == 0).unwrap_or(0);
         let anchor = Seeds {
-            dist: seed_dist,
+            alt: seed_alt,
             last_seed: last_seed as Vertex,
         };
         self.search(g, m, max_len, anchor);
@@ -316,12 +493,18 @@ impl AugSearcher {
     /// `while let Some(aug) = best_augmentation(g, m, max_len) { aug.apply(m) }`,
     /// augmentation for augmentation, without its full scan per
     /// augmentation. One full scan caches each start vertex's best gain.
-    /// A start's DFS reads the matching only at its walk vertices, all
-    /// within `max_len` of the start, and the graph does not change; so
-    /// after an augmentation only the starts within `max_len` of its
-    /// added and removed edges are searched again. The first start with
-    /// the largest cached gain is the full scan's winner, and searching it
-    /// once more rebuilds the winning walk.
+    /// After an augmentation, only the starts with an alternating walk of
+    /// at most `max_len` edges to a *changed* vertex — an endpoint of an
+    /// added or removed edge — are searched again: the [`ParityBfs`] from
+    /// the changed vertices on the new matching. The graph does not
+    /// change, and a start's DFS reads the matching only at the start and
+    /// at the vertices it steps onto. Up to its first changed vertex, a
+    /// walk reads every edge's status through an endpoint that kept its
+    /// mate, so it alternates the same way before and after; a start with
+    /// no such walk to a changed vertex therefore explores the same walks
+    /// with the same gains, and its cached gain stays current. The first
+    /// start with the largest cached gain is the full scan's winner, and
+    /// searching it once more rebuilds the winning walk.
     ///
     /// Each winner is split into searcher-owned buffers and applied as
     /// removals then inserts (added edges keep the graph's orientation),
@@ -379,37 +562,72 @@ impl AugSearcher {
                 m.insert(e).expect("removals freed the endpoints");
             }
             applied += 1;
-            // every start within max_len of a changed mate is stale
-            self.frontier.clear();
-            self.scratch.mark.clear();
-            for e in added.iter().chain(&removed) {
-                for x in [e.u, e.v] {
-                    if self.scratch.mark.insert(x) {
-                        self.frontier.push(x);
-                    }
-                }
-            }
             self.added = added;
             self.removed = removed;
             let csr = g.csr();
-            let mut level = 0..self.frontier.len();
-            for _ in 0..max_len {
-                let next = level.end;
-                for i in level {
-                    for &w in csr.neighbors(self.frontier[i]) {
-                        if self.scratch.mark.insert(w) {
-                            self.frontier.push(w);
-                        }
-                    }
-                }
-                level = next..self.frontier.len();
-            }
-            for i in 0..self.frontier.len() {
-                let v = self.frontier[i];
+            // the changed vertices: the endpoints of its added and
+            // removed edges
+            self.stale.run(
+                self.added
+                    .iter()
+                    .chain(&self.removed)
+                    .flat_map(|e| [e.u, e.v]),
+                max_len,
+                &mut self.scratch.count,
+                |v| m.mate(v),
+                |v| csr.neighbors(v).iter().copied(),
+            );
+            for i in 0..self.stale.reached().len() {
+                let v = self.stale.reached()[i];
                 self.gains[v as usize] = self.search_start(g, m, max_len, v);
             }
+            #[cfg(test)]
+            self.check_stale_set(g, m, max_len);
         }
         applied
+    }
+
+    /// `converge`'s test-build check after each round of re-searches:
+    /// every start's cached gain equals a fresh search, and the parity
+    /// stale set lies inside the BFS-radius set it replaces (both sizes
+    /// are summed into `stale_counts`).
+    #[cfg(test)]
+    fn check_stale_set(&mut self, g: &Graph, m: &Matching, max_len: usize) {
+        let mut near = vec![false; g.vertex_count()];
+        let mut frontier: Vec<Vertex> = self
+            .added
+            .iter()
+            .chain(&self.removed)
+            .flat_map(|e| [e.u, e.v])
+            .collect();
+        for &x in &frontier {
+            near[x as usize] = true;
+        }
+        for _ in 0..max_len {
+            for v in std::mem::take(&mut frontier) {
+                for w in g.neighbors(v) {
+                    if !near[w as usize] {
+                        near[w as usize] = true;
+                        frontier.push(w);
+                    }
+                }
+            }
+        }
+        let stale = self.stale.reached();
+        assert!(
+            stale.iter().all(|&v| near[v as usize]),
+            "parity distance is at least BFS distance"
+        );
+        self.stale_counts[0] += stale.len();
+        self.stale_counts[1] += near.iter().filter(|&&x| x).count();
+        for v in 0..g.vertex_count() as Vertex {
+            let cached = self.gains[v as usize];
+            assert_eq!(
+                cached,
+                self.search_start(g, m, max_len, v),
+                "cached gains are current"
+            );
+        }
     }
 
     /// Sizes the scratch for an `n`-vertex search and resets the winner.
@@ -569,7 +787,7 @@ impl AugSearcher {
             if self.scratch.visited.contains(next) {
                 continue;
             }
-            let Some(state) = anchor.step(state, next, max_len - self.walk.len() - 1) else {
+            let Some(state) = anchor.step(state, next, in_m, max_len - self.walk.len() - 1) else {
                 continue; // no seed within reach
             };
             let added = added + if in_m { 0 } else { e.weight as i128 };
@@ -835,6 +1053,32 @@ mod tests {
         applied
     }
 
+    /// Parity distances to `seeds` by vertex, capped at `max_len + 1`:
+    /// the shared [`ParityBfs`] on `g` and `m`.
+    fn parity_distances(
+        g: &Graph,
+        m: &Matching,
+        seeds: &[Vertex],
+        max_len: usize,
+    ) -> Vec<[u32; 2]> {
+        let cap = max_len as u32 + 1;
+        let (mut bfs, mut slots) = (ParityBfs::new(), EpochMap::new());
+        slots.ensure(g.vertex_count());
+        let csr = g.csr();
+        bfs.run(
+            seeds.iter().copied(),
+            max_len,
+            &mut slots,
+            |v| m.mate(v),
+            |v| csr.neighbors(v).iter().copied(),
+        );
+        let mut alt = vec![[cap, cap]; g.vertex_count()];
+        for (&v, &a) in bfs.reached().iter().zip(bfs.alt()) {
+            alt[v as usize] = a;
+        }
+        alt
+    }
+
     /// BFS depths from `seeds`, capped at `max_len + 1`.
     fn seed_distances(g: &Graph, seeds: &[Vertex], max_len: usize) -> Vec<u32> {
         let cap = max_len as u32 + 1;
@@ -886,6 +1130,43 @@ mod tests {
             }
         }
         assert!(total > 100, "the trials must apply augmentations ({total})");
+    }
+
+    #[test]
+    fn converge_reproduces_the_naive_loop_at_churn_scale() {
+        // the dynamic benchmark's churn graph, shrunk: G(n, 5/n) from an
+        // arrival-order greedy matching, where the parity stale set must
+        // be a strict cut of the BFS-radius one
+        let mut searcher = AugSearcher::new();
+        let mut total = 0;
+        for seed in 0..2 {
+            let mut rng = StdRng::seed_from_u64(67 + seed);
+            let n = 600;
+            let g = generators::gnp(
+                n,
+                5.0 / n as f64,
+                WeightModel::Uniform { lo: 1, hi: 100 },
+                &mut rng,
+            );
+            let mut start = Matching::new(n);
+            for e in g.edges() {
+                let _ = start.insert(*e);
+            }
+            for max_len in [3usize, 5] {
+                let mut expect = start.clone();
+                let k = naive_converge(&g, &mut expect, max_len);
+                let mut got = start.clone();
+                assert_eq!(searcher.converge(&g, &mut got, max_len), k, "seed {seed}");
+                assert_eq!(got, expect, "seed {seed}, max_len {max_len}");
+                total += k;
+            }
+        }
+        assert!(total > 100, "the runs must apply augmentations ({total})");
+        let [parity, bfs] = searcher.stale_counts;
+        assert!(
+            parity < bfs,
+            "parity stale starts {parity} must undercut the BFS-radius {bfs}"
+        );
     }
 
     /// `g` and `m` relabelled as the dynamic repair numbers a ball: the
@@ -950,11 +1231,13 @@ mod tests {
         let mut searcher = AugSearcher::new();
         let (mut sa, mut sr, mut fa, mut fr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut found = 0;
-        // how often the two rim facts applied: rim starts after the last
-        // seed in the relabelled form, and edges left out in the reduced
-        let (mut rim_skips, mut dropped) = (0, 0);
+        // how often the cuts applied: vertices within BFS distance
+        // max_len but beyond it in parity distance, rim starts after the
+        // last seed in the relabelled form, and edges left out in the
+        // reduced
+        let (mut parity_cut, mut rim_skips, mut dropped) = (0, 0, 0);
         let (mut ra, mut rr, mut xa, mut xr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for trial in 0..150 {
+        for trial in 0..300 {
             let n = rng.gen_range(6..18);
             let edges = rng.gen_range(n..3 * n);
             let mut g = random_multigraph(&mut rng, n, edges);
@@ -993,9 +1276,14 @@ mod tests {
             }
             // fix-up: search, apply, and seed everything the winner touched
             loop {
+                let alt = parity_distances(&g, &m, &seeds, max_len);
+                let reach = |v: usize| alt[v][0].min(alt[v][1]) as usize;
                 let dist = seed_distances(&g, &seeds, max_len);
-                let seeded = searcher
-                    .best_seeded_augmentation_into(&g, &m, max_len, &dist, &mut sa, &mut sr);
+                parity_cut += (0..n)
+                    .filter(|&v| dist[v] as usize <= max_len && reach(v) > max_len)
+                    .count();
+                let seeded =
+                    searcher.best_seeded_augmentation_into(&g, &m, max_len, &alt, &mut sa, &mut sr);
                 let full = searcher.best_augmentation_into(&g, &m, max_len, &mut fa, &mut fr);
                 assert_eq!(seeded, full, "trial {trial}: gains differ");
                 assert_eq!(sa, fa, "trial {trial}: added edges differ");
@@ -1003,13 +1291,13 @@ mod tests {
                 // (a) numbered as the repair numbers its ball: the seeds
                 // come first, so every rim start is past the last seed
                 let (rg, rm, new_id) = relabel_from_seeds(&g, &m, &seeds);
-                let mut rdist = vec![0; n];
-                for (v, &d) in dist.iter().enumerate() {
-                    rdist[new_id[v] as usize] = d;
+                let mut ralt = vec![[0, 0]; n];
+                for (v, &a) in alt.iter().enumerate() {
+                    ralt[new_id[v] as usize] = a;
                 }
-                rim_skips += rdist.iter().filter(|&&d| d as usize == max_len).count();
+                rim_skips += (0..n).filter(|&v| reach(v) == max_len).count();
                 let got = searcher
-                    .best_seeded_augmentation_into(&rg, &rm, max_len, &rdist, &mut ra, &mut rr);
+                    .best_seeded_augmentation_into(&rg, &rm, max_len, &ralt, &mut ra, &mut rr);
                 let want = searcher.best_augmentation_into(&rg, &rm, max_len, &mut xa, &mut xr);
                 assert_eq!(got, want, "trial {trial}: relabelled gains differ");
                 assert_eq!(ra, xa, "trial {trial}: relabelled added edges differ");
@@ -1018,19 +1306,22 @@ mod tests {
                     got, full,
                     "trial {trial}: relabelling changed the best gain"
                 );
-                // (b) without the edges whose endpoints both lie at seed
-                // distance max_len or more; the matching keeps them
-                let far = |v: Vertex| dist[v as usize] as usize >= max_len;
+                // (b) only the edges the repair kit keeps: both endpoints
+                // within parity distance max_len, not both at it or
+                // beyond; the matching keeps every edge
                 let near: Vec<Edge> = g
                     .edges()
                     .iter()
                     .copied()
-                    .filter(|e| !(far(e.u) && far(e.v)))
+                    .filter(|e| {
+                        let (a, b) = (reach(e.u as usize), reach(e.v as usize));
+                        a.max(b) <= max_len && a.min(b) < max_len
+                    })
                     .collect();
                 dropped += g.edge_count() - near.len();
                 let reduced = Graph::from_edges(n, near);
                 let got = searcher
-                    .best_seeded_augmentation_into(&reduced, &m, max_len, &dist, &mut ra, &mut rr);
+                    .best_seeded_augmentation_into(&reduced, &m, max_len, &alt, &mut ra, &mut rr);
                 assert_eq!(got, full, "trial {trial}: reduced gains differ");
                 assert_eq!(ra, fa, "trial {trial}: reduced added edges differ");
                 assert_eq!(rr, fr, "trial {trial}: reduced removed edges differ");
@@ -1051,6 +1342,10 @@ mod tests {
         assert!(
             found > 50,
             "the perturbations must open augmentations ({found})"
+        );
+        assert!(
+            parity_cut > 100,
+            "the parity cut must reach past BFS distance ({parity_cut})"
         );
         assert!(rim_skips > 100, "rim starts must be skipped ({rim_skips})");
         assert!(dropped > 100, "far edges must be left out ({dropped})");

@@ -17,8 +17,9 @@
 //!   maximum-weight general matching,
 //! * [`aug_search`] — exhaustive short-augmentation search that verifies
 //!   and maintains Fact 1.3: a full scan, a scan anchored at seed
-//!   vertices, and a converge loop that re-searches only near each applied
-//!   augmentation,
+//!   vertices, and a converge loop that re-searches only the starts that
+//!   reach each applied augmentation, both bounded by the alternating
+//!   reach of a parity BFS,
 //! * [`csr`] / [`scratch`] — the flat hot-path substrate: cached CSR
 //!   adjacency views ([`CsrView`]) and epoch-stamped scratch arenas
 //!   ([`Scratch`]) that keep the per-round neighbourhood scans of
