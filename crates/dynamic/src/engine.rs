@@ -23,25 +23,19 @@
 //! engine therefore maintains a dirty set — the update's endpoints,
 //! everything a deferring policy left pending, and every vertex an
 //! applied repair touched — and every positive walk of at most `max_len`
-//! edges passes through it. An augmentation is an alternating walk, so
-//! the repair measures reach along alternating walks: a parity BFS from
-//! the dirty set gives each vertex the fewest edges of an alternating
-//! walk to a seed, per status of the walk's first edge, and its
-//! *alternating ball* (those within `max_len` edges) holds every vertex
-//! such a walk can visit. The ball, extended by the mates of its
-//! vertices so neighbourhood gains are computed exactly, is relabelled
-//! into a compact sub-instance and searched by the reusable
-//! [`AugSearcher`] *from the seeds outward*, applying the best
-//! augmentation found until none remains. A walk is never extended once
-//! no alternating walk within the edges left can reach a dirty vertex,
-//! and the result equals a scan from every vertex of the plain
-//! radius-`max_len` ball, whose BFS order still numbers the
-//! sub-instance. A vertex on the rim (parity distance `max_len`) can only
-//! end such a walk, with the seed at the other end: the sub-instance
-//! leaves out the edges between two rim vertices, and the search skips
-//! rim starts, whose walks are reverses of walks from the seeds.
-//! Everything runs on epoch-stamped [`Scratch`] arenas — no hashing, no
-//! per-update allocation churn once warmed up.
+//! edges passes through it. The repair therefore searches only walks
+//! through the dirty set, in place on the live graph and matching: the
+//! reusable [`AugSearcher`] runs its DFS from each seed — every walk that
+//! starts or ends there, every cycle through it — and once more from the
+//! seed for each alternating prefix that leaves it along its matched
+//! edge, for the walks with the seed inside. It applies the best
+//! augmentation found until none remains. The winner is order-free — the
+//! largest gain, an exact tie going to the least effect (the sorted keys
+//! of the edges added, then of those removed) — so the repair commits
+//! exactly what a scan of the whole graph would pick, whatever the seed
+//! and adjacency order, and each added edge goes in smaller endpoint
+//! first. Everything runs on epoch-stamped [`Scratch`] arenas — no
+//! hashing, no per-update allocation churn once warmed up.
 //!
 //! Whole-graph restores — the bootstrap ([`static_bounded_matching`]),
 //! rebuild and restore-only epochs, and the sentinel heal — run

@@ -16,24 +16,28 @@
 //! can only create new improving components *through the new edge*, a
 //! deletion only ones *touching the freed endpoints*, and an applied
 //! repair only ones touching the vertices it changed. So each update
-//! builds just the *alternating ball* of those seed vertices — every
-//! vertex with an alternating walk of at most `max_len` edges to a seed,
-//! found by the [`ParityBfs`](wmatch_graph::aug_search::ParityBfs) —
-//! relabels it into a compact sub-instance, and hands it to the exhaustive
+//! searches only the walks through those seed vertices, in place on the
+//! live graph and matching: the exhaustive
 //! [`AugSearcher`](wmatch_graph::aug_search::AugSearcher) from
-//! `wmatch-graph` with each vertex's parity distances to the seeds: the
-//! search never extends a walk that cannot reach a seed by an
-//! alternating walk in the edges left, and returns exactly what a scan
-//! of the whole radius-`max_len` ball would. A rim vertex (at parity
-//! distance `max_len`) can only be the far end of such a walk, so the
-//! sub-instance leaves out the edges between rim vertices and the search
-//! starts no walk at the rim. It is the same searcher (and the
-//! same epoch-stamped [`Scratch`](wmatch_graph::Scratch) arenas) the
-//! offline machinery runs on, so the dynamic and static notions of "no
-//! short augmentation" agree by construction. Whole-graph restores — the
+//! `wmatch-graph` runs its DFS from each seed, and once more from the
+//! seed for each alternating prefix that leaves it along its matched
+//! edge, so it enumerates exactly the walks of at most `max_len` edges
+//! through a seed. Every search keeps one order-free winner — the
+//! largest gain, an exact tie going to the least effect (the sorted keys
+//! of the edges added, then removed) — so the local search returns
+//! exactly what a scan of the whole graph would. It is the same searcher
+//! (and the same epoch-stamped [`Scratch`](wmatch_graph::Scratch) arenas)
+//! the offline machinery runs on, so the dynamic and static notions of
+//! "no short augmentation" agree by construction. Whole-graph restores — the
 //! bootstrap, rebuild epochs, the sentinel heal — run its `converge`
 //! loop, which re-searches only the starts with an alternating walk to a
 //! vertex each applied augmentation changed.
+//!
+//! The off-by-default `lockstep` cargo feature checks every local search
+//! against the full scan of its plain radius-`max_len` ball, and every
+//! `converge` round's cached gains, panicking on any difference;
+//! `lockstep_checks()` (under the feature) counts the local searches it
+//! checked.
 //!
 //! *When* the repair runs is the engine's [`RepairPolicy`]: eagerly after
 //! every update (the default), under a per-update augmentation budget
@@ -103,3 +107,10 @@ pub use randomwalk::{RandomWalkConfig, RandomWalkMatcher};
 pub use sharded::ShardedMatcher;
 pub use update::UpdateOp;
 pub use wal::{RecoveryReport, WalConfig};
+
+/// The local searches the `lockstep` feature has checked against the
+/// full scan of their ball in this process.
+#[cfg(feature = "lockstep")]
+pub fn lockstep_checks() -> u64 {
+    repair::lockstep::CHECKED.load(std::sync::atomic::Ordering::Relaxed)
+}

@@ -15,9 +15,8 @@
 //! workspace reports (the same symmetric-difference measure the rebuild
 //! epochs and the recompute baseline use).
 
-use wmatch_graph::aug_search::{AugSearcher, ParityBfs};
-use wmatch_graph::scratch::EpochMap;
-use wmatch_graph::{Edge, Graph, Matching, Scratch, Vertex};
+use wmatch_graph::aug_search::AugSearcher;
+use wmatch_graph::{Edge, Graph, Matching, Vertex};
 
 use crate::dyngraph::DynGraph;
 use crate::update::UpdateOp;
@@ -34,44 +33,23 @@ pub(crate) struct FixOutcome {
 }
 
 /// All reusable state of one repair executor: the exhaustive searcher,
-/// the epoch-stamped ball scratch, the relabelled sub-instance buffers,
-/// and the mutation journal. Everything is persistent — at steady state a
-/// repair allocates nothing.
+/// the dirty seeds, the winner's split, the mutation journal, and the
+/// static copy of the graph a whole-graph restore searches. Everything is
+/// persistent — at steady state a repair allocates nothing.
 ///
-/// A search first runs the [`ParityBfs`] from the dirty seeds: its
-/// *alternating ball* A is every vertex with an alternating walk of at
-/// most `max_len` edges to a seed, the only vertices a walk through a
-/// seed can visit. Local ids go to A alone, in the order of the plain
-/// ball BFS of radius `max_len` (seeds first), followed by the mates of
-/// A outside it, which the search reads only for their matched edge's
-/// weight. `alt[l]` — local vertex `l`'s parity distances to the seeds,
-/// `max_len + 1` for those mates — is what the anchored search cuts by,
-/// so it only walks where a new positive component can be and skips
-/// every rim start.
+/// A local search runs in place on the live [`DynGraph`] and
+/// [`Matching`]: [`AugSearcher::best_augmentation_through`] from the
+/// dirty seeds, reading each vertex's live edges through
+/// [`DynGraph::incident`].
 #[derive(Debug)]
 pub(crate) struct RepairKit {
     pub searcher: AugSearcher,
-    /// `scratch.count` maps a vertex of A to its slot in `parity` until
-    /// the ball BFS (`scratch.mark`) reaches it, and to its local id
-    /// after.
-    pub scratch: Scratch,
-    parity: ParityBfs,
-    /// The ball BFS queue.
-    ball: Vec<Vertex>,
-    local_to_global: Vec<Vertex>,
-    /// Parity distances per local id.
-    alt: Vec<[u32; 2]>,
     pub dirty: Vec<Vertex>,
-    /// The sub-instance's edges and matched edges, in local ids, buffered
-    /// until its vertex count is known.
-    sub_edges: Vec<Edge>,
-    sub_matched: Vec<Edge>,
-    sub_g: Graph,
-    sub_m: Matching,
-    sub_added: Vec<Edge>,
-    sub_removed: Vec<Edge>,
     added: Vec<Edge>,
     removed: Vec<Edge>,
+    /// The live graph as a static [`Graph`], refilled by each
+    /// [`RepairKit::restore`].
+    whole: Graph,
     /// Matching mutations of the current update, in order: `(edge, true)`
     /// for inserts, `(edge, false)` for removals.
     pub journal: Vec<(Edge, bool)>,
@@ -82,20 +60,10 @@ impl RepairKit {
     pub fn new() -> Self {
         RepairKit {
             searcher: AugSearcher::new(),
-            scratch: Scratch::new(),
-            parity: ParityBfs::new(),
-            ball: Vec::new(),
-            local_to_global: Vec::new(),
-            alt: Vec::new(),
             dirty: Vec::new(),
-            sub_edges: Vec::new(),
-            sub_matched: Vec::new(),
-            sub_g: Graph::new(0),
-            sub_m: Matching::new(0),
-            sub_added: Vec::new(),
-            sub_removed: Vec::new(),
             added: Vec::new(),
             removed: Vec::new(),
+            whole: Graph::new(0),
             journal: Vec::new(),
         }
     }
@@ -137,13 +105,10 @@ impl RepairKit {
         recourse
     }
 
-    /// The largest dense scratch footprint this kit has used, its
-    /// searcher's included (the bootstrap and global restores size that
-    /// one to the whole graph).
+    /// The largest dense scratch footprint this kit has used: its
+    /// searcher's, which every search sizes to the whole graph.
     pub fn scratch_high_water(&self) -> usize {
-        self.scratch
-            .high_water()
-            .max(self.searcher.scratch_high_water())
+        self.searcher.scratch_high_water()
     }
 
     /// Applies best local augmentations until none with positive gain
@@ -210,49 +175,23 @@ impl RepairKit {
     }
 
     /// Restores the bounded-augmentation invariant over the whole graph
-    /// and returns the augmentations applied: the result of
-    /// [`RepairKit::fix_up`] with every vertex dirty, augmentation for
-    /// augmentation. With every vertex dirty the sub-instance's local ids
-    /// are the global ids, so it is built once, edges oriented from the
-    /// smaller end as `fix_up` builds them, and
-    /// [`AugSearcher::converge`] runs on it against `m` itself: it reads
-    /// `m` by endpoint pair, removes by pair and inserts the
-    /// sub-instance's edges, exactly as `fix_up` unmaps them. Mutations
-    /// are not journalled; every caller measures an epoch by its matching
-    /// diff.
+    /// and returns the augmentations applied: [`AugSearcher::converge`] on
+    /// a static copy of the live graph. Its winner is order-free, so this
+    /// is the result of [`RepairKit::fix_up`] with every vertex dirty,
+    /// augmentation for augmentation. Mutations are not journalled; every
+    /// caller measures an epoch by its matching diff.
     pub fn restore(&mut self, g: &DynGraph, m: &mut Matching, max_len: usize) -> u64 {
-        let n = g.vertex_count();
-        self.sub_g.reset(n);
-        for v in 0..n as Vertex {
-            for e in g.incident(v) {
-                let w = e.other(v);
-                if w > v {
-                    self.sub_g.add_edge(v, w, e.weight);
-                }
-            }
-        }
-        self.searcher.converge(&self.sub_g, m, max_len)
+        g.snapshot_into(&mut self.whole);
+        self.searcher.converge(&self.whole, m, max_len)
     }
 
     /// The best positive augmentation (≤ `max_len` edges) through the
-    /// dirty set: the alternating ball A around it (see [`RepairKit`]),
-    /// extended by the mates of its vertices so neighbourhood gains are
-    /// exact, is relabelled into a compact sub-instance, searched from the
-    /// dirty seeds outward, and the winner is unmapped into `self.added` /
-    /// `self.removed`. Returns the gain, or `None` when the invariant
-    /// holds.
-    ///
-    /// Every vertex of a walk that meets a seed within `max_len` edges is
-    /// in A, since its sub-walk to the seed alternates; no such walk
-    /// steps along an edge that leaves A or joins two vertices at parity
-    /// distance `max_len` or more, so the sub-instance holds only the
-    /// other edges. It holds every A vertex's matched edge. A keeps its
-    /// ball BFS order and each kept vertex its edge order, so the seeded
-    /// scan enumerates the surviving walks in the order a full scan of the
-    /// whole ball (plus mates, with every edge) does, and returns its
-    /// result: the same gain and added edges, and the same removed edges
-    /// up to the orientation of a matched edge to an appended mate, which
-    /// [`Matching::remove_pair`] ignores.
+    /// dirty set, split into `self.added` / `self.removed`; returns the
+    /// gain, or `None` when the invariant holds. The search runs from
+    /// each dirty seed in place on `g` and `m` (see [`RepairKit`]), and
+    /// its winner is the order-free one: the largest gain, an exact tie
+    /// going to the least effect, so neither the seed order nor the
+    /// adjacency order of `g` can change what is committed.
     ///
     /// The search keeps only walks through a dirty vertex. That is exact
     /// because every caller keeps the dirty set covering every positive
@@ -262,173 +201,38 @@ impl RepairKit {
     /// has touched. So a walk without a seed has gain ≤ 0 and the full
     /// scan would never record it either. The one exception is an eager
     /// op that runs while deferred repairs are pending: it seeds only its
-    /// own endpoints, so a stale walk in its ball that avoids them is
-    /// left for the flush, which the pending set still owes.
+    /// own endpoints, so a stale walk near them that avoids them is left
+    /// for the flush, which the pending set still owes.
     fn best_local_augmentation(
         &mut self,
         g: &DynGraph,
         m: &Matching,
         max_len: usize,
     ) -> Option<i128> {
-        let n = g.vertex_count();
-        self.scratch.begin(n);
-        let RepairKit {
-            searcher,
-            scratch,
-            parity,
-            ball,
-            local_to_global,
-            alt,
-            dirty,
-            sub_edges,
-            sub_matched,
-            sub_g,
-            sub_m,
-            sub_added,
-            sub_removed,
-            added,
-            removed,
-            ..
-        } = self;
-        // canonical seed order makes the search independent of the order
-        // augmentations reported their touched vertices
-        dirty.sort_unstable();
-        dirty.dedup();
-        let ids = &mut scratch.count;
-        parity.run(
-            dirty.iter().copied(),
+        // each seed once
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        let found = self.searcher.best_augmentation_through(
+            m,
             max_len,
-            ids,
-            |v| m.mate(v),
-            |v| g.incident(v).map(move |e| e.other(v)),
+            &self.dirty,
+            |v| g.incident(v),
+            &mut self.added,
+            &mut self.removed,
         );
-        // the plain BFS ball of radius max_len, only to number A in its
-        // order: a vertex of A gets its local id when the BFS first meets
-        // it, and `ids` then holds that id in place of its parity slot
-        let seen = &mut scratch.mark;
-        let number =
-            |v: Vertex, ids: &mut EpochMap<u32>, l2g: &mut Vec<Vertex>, alt: &mut Vec<_>| {
-                if let Some(slot) = ids.get(v) {
-                    ids.insert(v, l2g.len() as u32);
-                    l2g.push(v);
-                    alt.push(parity.alt()[slot as usize]);
-                }
-            };
-        local_to_global.clear();
-        alt.clear();
-        ball.clear();
-        sub_edges.clear();
-        for &d in dirty.iter() {
-            seen.insert(d);
-            ball.push(d);
-            number(d, ids, local_to_global, alt);
-        }
-        // the sub-instance keeps an edge between two vertices of A unless
-        // both lie at parity distance max_len or more. Each goes out when
-        // the BFS scans its smaller-id end, whose neighbours all hold
-        // their ids by then, so in the order of a pass over A. That end
-        // lies inside radius max_len, which the BFS scans: from a vertex
-        // at BFS depth max_len, every later id is at that depth too, so
-        // both ends lie at parity distance max_len or more
-        let rim = |a: [u32; 2]| a[0].min(a[1]) as usize >= max_len;
-        let mut level = 0..ball.len();
-        for _ in 0..max_len {
-            let next = level.end;
-            for i in level {
-                let v = ball[i];
-                let lv = ids.get(v);
-                for e in g.incident(v) {
-                    let w = e.other(v);
-                    if seen.insert(w) {
-                        ball.push(w);
-                        number(w, ids, local_to_global, alt);
-                    }
-                    if let (Some(li), Some(lw)) = (lv, ids.get(w)) {
-                        if lw > li && !(rim(alt[li as usize]) && rim(alt[lw as usize])) {
-                            sub_edges.push(Edge::new(li, lw, e.weight));
-                        }
-                    }
-                }
-            }
-            level = next..ball.len();
-        }
-        // extend by the mates of A, so neighbourhood gains are exact; a
-        // matched edge goes to the sub-matching from its smaller local id
-        sub_matched.clear();
-        let a_len = local_to_global.len();
-        for li in 0..a_len {
-            let v = local_to_global[li];
-            let Some(me) = m.matched_edge(v) else {
-                continue;
-            };
-            let w = me.other(v);
-            let lw = match ids.get(w) {
-                // A lies inside the ball, so its vertices are numbered
-                Some(lw) => {
-                    debug_assert!(seen.contains(w), "the ball BFS numbered all of A");
-                    lw as usize
-                }
-                None => {
-                    local_to_global.push(w);
-                    alt.push([max_len as u32 + 1; 2]);
-                    local_to_global.len() - 1
-                }
-            };
-            if lw > li {
-                sub_matched.push(Edge::new(li as Vertex, lw as Vertex, me.weight));
-            }
-        }
-        let sub_n = local_to_global.len();
-        if sub_n == 0 {
-            return None;
-        }
-        sub_g.reset(sub_n);
-        for e in sub_edges.iter() {
-            sub_g.add_edge(e.u, e.v, e.weight);
-        }
-        sub_m.reset(sub_n);
-        for &e in sub_matched.iter() {
-            sub_m.insert(e).expect("matched edges are vertex-disjoint");
-        }
-        let found = searcher.best_seeded_augmentation_into(
-            sub_g,
-            sub_m,
-            max_len,
-            alt,
-            sub_added,
-            sub_removed,
-        );
-        // unit tests check every repair against the full scan of the
-        // unreduced ball
-        #[cfg(test)]
+        // test builds and the `lockstep` feature check every search
+        // against the full scan of its plain ball
+        #[cfg(any(test, feature = "lockstep"))]
         lockstep::check(
             g,
             m,
-            dirty,
+            &self.dirty,
             max_len,
             found,
-            local_to_global,
-            sub_added,
-            sub_removed,
+            &self.added,
+            &self.removed,
         );
-        let gain = found?;
-        added.clear();
-        removed.clear();
-        for e in sub_added.iter() {
-            added.push(Edge::new(
-                local_to_global[e.u as usize],
-                local_to_global[e.v as usize],
-                e.weight,
-            ));
-        }
-        for e in sub_removed.iter() {
-            removed.push(Edge::new(
-                local_to_global[e.u as usize],
-                local_to_global[e.v as usize],
-                e.weight,
-            ));
-        }
-        Some(gain)
+        found
     }
 }
 
@@ -500,112 +304,111 @@ pub(crate) fn repair_op(
     out
 }
 
-#[cfg(test)]
-mod lockstep {
+#[cfg(any(test, feature = "lockstep"))]
+pub(crate) mod lockstep {
     use std::collections::hash_map::{Entry, HashMap};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     use super::*;
 
-    /// The unit-test lockstep of every repair: the kit's seeded search of
-    /// its reduced sub-instance (`found`, with `added`/`removed` in the
-    /// local ids of `local_to_global`) must equal, in global edges, the
-    /// full scan of the plain ball — every vertex within BFS distance
-    /// `max_len` of the sorted `seeds`, in BFS order, then their mates —
-    /// with every live edge among them and every vertex's matched edge.
-    /// The gain and added edges must agree exactly, the removed edges as
-    /// (endpoint pair, weight) sets.
-    #[allow(clippy::too_many_arguments)]
+    /// Local searches checked in this process.
+    pub(crate) static CHECKED: AtomicU64 = AtomicU64::new(0);
+
+    /// The lockstep of every local search: the in-place search's result
+    /// (`found`, `added`, `removed`) must equal the full scan of the plain
+    /// ball — every vertex within BFS distance `max_len` of the `seeds`,
+    /// then their mates — with every live edge among them and every
+    /// vertex's matched edge. The ball is numbered in ascending global id:
+    /// a monotone renumbering keeps every key comparison, so the full scan
+    /// applies the same tie rule. The gain must agree exactly, the added
+    /// and removed edges as (endpoint pair, weight) multisets.
     pub(super) fn check(
         g: &DynGraph,
         m: &Matching,
         seeds: &[Vertex],
         max_len: usize,
         found: Option<i128>,
-        local_to_global: &[Vertex],
         added: &[Edge],
         removed: &[Edge],
     ) {
-        let mut ids: HashMap<Vertex, Vertex> = HashMap::new();
-        let (mut order, mut depth) = (Vec::new(), Vec::new());
-        for &s in seeds {
-            ids.insert(s, order.len() as Vertex);
-            order.push(s);
-            depth.push(0);
-        }
+        let mut depth: HashMap<Vertex, usize> = seeds.iter().map(|&s| (s, 0)).collect();
+        let mut order = seeds.to_vec();
         let mut head = 0;
         while head < order.len() {
-            let (v, d) = (order[head], depth[head]);
+            let v = order[head];
             head += 1;
+            let d = depth[&v];
             if d < max_len {
                 for e in g.incident(v) {
                     let w = e.other(v);
-                    if let Entry::Vacant(id) = ids.entry(w) {
-                        id.insert(order.len() as Vertex);
+                    if let Entry::Vacant(slot) = depth.entry(w) {
+                        slot.insert(d + 1);
                         order.push(w);
-                        depth.push(d + 1);
                     }
                 }
             }
         }
-        for i in 0..order.len() {
-            if let Some(w) = m.mate(order[i]) {
-                if let Entry::Vacant(id) = ids.entry(w) {
-                    id.insert(order.len() as Vertex);
-                    order.push(w);
-                }
-            }
-        }
-        let mut full_g = Graph::new(order.len());
-        let mut full_m = Matching::new(order.len());
-        for (li, &v) in order.iter().enumerate() {
-            let li = li as Vertex;
+        let mut ball = order.clone();
+        ball.extend(order.iter().filter_map(|&v| m.mate(v)));
+        ball.sort_unstable();
+        ball.dedup();
+        let local = |v: Vertex| ball.binary_search(&v).ok().map(|l| l as Vertex);
+        let mut sub_g = Graph::new(ball.len());
+        let mut sub_m = Matching::new(ball.len());
+        for (a, &v) in ball.iter().enumerate() {
+            let a = a as Vertex;
             for e in g.incident(v) {
-                match ids.get(&e.other(v)) {
-                    Some(&lw) if lw > li => {
-                        full_g.add_edge(li, lw, e.weight);
+                match local(e.other(v)) {
+                    Some(b) if b > a => {
+                        sub_g.add_edge(a, b, e.weight);
                     }
                     _ => {}
                 }
             }
             if let Some(me) = m.matched_edge(v) {
-                let lw = ids[&me.other(v)];
-                if lw > li {
-                    full_m
-                        .insert(Edge::new(li, lw, me.weight))
+                let b = local(me.other(v)).expect("the ball holds every mate");
+                if b > a {
+                    sub_m
+                        .insert(Edge::new(a, b, me.weight))
                         .expect("matched edges are vertex-disjoint");
                 }
             }
         }
         let (mut full_added, mut full_removed) = (Vec::new(), Vec::new());
         let full = AugSearcher::new().best_augmentation_into(
-            &full_g,
-            &full_m,
+            &sub_g,
+            &sub_m,
             max_len,
             &mut full_added,
             &mut full_removed,
         );
-        assert_eq!(found, full, "seeded and full scans disagree on the gain");
-        let global = |ids: &[Vertex], edges: &[Edge]| -> Vec<Edge> {
-            edges
+        let keys = |edges: &[Edge], ids: Option<&[Vertex]>| {
+            let mut keys: Vec<_> = edges
                 .iter()
-                .map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.weight))
-                .collect()
-        };
-        assert_eq!(
-            global(local_to_global, added),
-            global(&order, &full_added),
-            "seeded and full scans add different edges"
-        );
-        let pairs = |edges: Vec<Edge>| {
-            let mut keys: Vec<_> = edges.iter().map(|e| (e.key(), e.weight)).collect();
+                .map(|e| {
+                    let (u, v) =
+                        ids.map_or((e.u, e.v), |ids| (ids[e.u as usize], ids[e.v as usize]));
+                    (Edge::new(u, v, e.weight).key(), e.weight)
+                })
+                .collect();
             keys.sort_unstable();
             keys
         };
         assert_eq!(
-            pairs(global(local_to_global, removed)),
-            pairs(global(&order, &full_removed)),
-            "seeded and full scans remove different edges"
+            found, full,
+            "in-place and full scans disagree on the gain: seeds {seeds:?}, max_len {max_len}"
         );
+        assert_eq!(
+            keys(added, None),
+            keys(&full_added, Some(&ball)),
+            "in-place and full scans add different edges: seeds {seeds:?}, max_len {max_len}"
+        );
+        assert_eq!(
+            keys(removed, None),
+            keys(&full_removed, Some(&ball)),
+            "in-place and full scans remove different edges: seeds {seeds:?}, max_len {max_len}"
+        );
+        CHECKED.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -12,36 +12,40 @@
 //! * **the full scan** ([`AugSearcher::best_augmentation`],
 //!   [`AugSearcher::best_augmentation_into`]) starts a walk at every
 //!   vertex;
-//! * **the seeded scan** ([`AugSearcher::best_seeded_augmentation_into`])
-//!   keeps only walks through a *seed* vertex, given each vertex's
-//!   parity distances to the seeds (below): a start or branch that can no
-//!   longer reach a seed by an alternating walk within `max_len` edges is
-//!   cut, and so is a start at parity distance exactly `max_len` (the
-//!   *rim*) after the last seed, whose walks are reverses of walks
-//!   already scanned from a seed. It never steps along an edge whose
-//!   endpoints both lie at parity distance `max_len` or more, or onto a
-//!   vertex beyond it, so callers may leave those edges out. When every
-//!   positive walk passes through a seed — the dynamic engine's locality
-//!   argument: the seeds are whatever an update or a repair touched — it
-//!   returns exactly what the full scan returns;
+//! * **the seeded search** ([`AugSearcher::best_augmentation_through`])
+//!   keeps only walks through a *seed* vertex, and reads the graph in
+//!   place through an adjacency closure. From each seed the DFS runs
+//!   once, finding every walk that starts there and every cycle through
+//!   it, and once more for each alternating prefix that leaves the seed
+//!   along its matched edge, finding the walks with the seed inside. When
+//!   every positive walk passes through a seed — the dynamic engine's
+//!   locality argument: the seeds are whatever an update or a repair
+//!   touched — it returns exactly what the full scan returns;
 //! * **[`AugSearcher::converge`]** applies best augmentations until none
 //!   is left, with one full scan up front and, after each applied
 //!   augmentation, a re-search of only the starts with an alternating
 //!   walk of at most `max_len` edges to a vertex whose mate it changed.
 //!
-//! All three enumerate walks in the same order — start vertex, then CSR
-//! order — and keep the same tie-break: the first walk to reach the
-//! strictly largest gain wins.
+//! All three keep the same *order-free winner*: the largest gain, and on
+//! an exact tie the least *effect* — the sorted (endpoint pair, weight)
+//! keys of the edges the augmentation adds, then those of the matched
+//! edges it removes. A walk and its reverse, or any two walks that change
+//! the matching the same way, have one effect, so the winner does not
+//! depend on the order the walks are enumerated in: not on the vertex
+//! numbering, the edge insertion order or the edge orientation. The
+//! effect is computed only on an exact tie of the best gain, and the
+//! winner's added edges are reported smaller endpoint first, so a
+//! committed matching shows neither an edge's stored orientation nor
+//! which of its equal parallel copies was found.
 //!
-//! Both bounded scopes measure reach the way an augmentation travels,
-//! along alternating walks, not by plain BFS distance: the
-//! [`ParityBfs`] gives each vertex the fewest edges of an alternating
-//! walk to a source set, once per status (matched or not) of the walk's
-//! first edge. The dynamic repair kit runs the same BFS to build its
-//! search instance from only the vertices such a walk can visit.
+//! `converge` bounds its re-searches by alternating reach, the way an
+//! augmentation travels, not by plain BFS distance: the [`ParityBfs`]
+//! gives each vertex the fewest edges of an alternating walk to a source
+//! set, once per status (matched or not) of the walk's first edge.
 //!
-//! The searcher runs on the flat hot path: neighbourhood scans read the
-//! graph's cached [`CsrView`](crate::CsrView) slices, the visited set is
+//! The searcher runs on the flat hot path: the full scan and `converge`
+//! read the graph's cached [`CsrView`](crate::CsrView) slices, the seeded
+//! search whatever store its closure reads, the visited set is
 //! the [`Scratch`] arena's epoch-stamped set, reset in O(1) per
 //! start vertex, and candidate gains are tracked incrementally along the
 //! walk — the DFS inner loop performs no heap allocation (an
@@ -78,8 +82,8 @@ pub fn best_augmentation(g: &Graph, m: &Matching, max_len: usize) -> Option<Augm
     AugSearcher::new().best_augmentation(g, m, max_len)
 }
 
-/// Parity distances to a source set: the BFS that bounds every
-/// augmentation search by alternating reach.
+/// Parity distances to a source set: the BFS that bounds
+/// [`AugSearcher::converge`]'s re-searches by alternating reach.
 ///
 /// The *status* of an edge is *matched* when its endpoint pair is matched
 /// (`m.contains(&e)`, so every parallel copy of a matched pair is
@@ -223,88 +227,56 @@ impl ParityBfs {
     }
 }
 
-/// Which walks a search may record, and which it may cut early. The DFS
-/// is monomorphized over it: the full scan's [`Everywhere`] is zero-sized
-/// with a unit state, so its instance carries no extra argument and no
-/// extra branch.
-trait Anchor: Copy {
-    /// Per-walk state, carried down the DFS frames.
-    type State: Copy;
-    /// The state of the one-vertex walk at `start`, or `None` when no
-    /// walk of at most `max_len` edges from `start` can be recorded.
-    fn start(self, start: Vertex, max_len: usize) -> Option<Self::State>;
-    /// The state after the walk steps to `next` along an edge of status
-    /// `in_m` with `left` edges still allowed, or `None` when no
-    /// extension from `next` can be recorded.
-    fn step(self, state: Self::State, next: Vertex, in_m: bool, left: usize)
-        -> Option<Self::State>;
-    /// Whether a walk in `state` may be recorded.
-    fn records(state: Self::State) -> bool;
+/// An effect key: an edge's endpoint pair and weight.
+type Key = ((Vertex, Vertex), u64);
+
+/// A component's *effect*, the key of the order-free tie-break: the
+/// sorted keys of the edges it adds (its unmatched edges), then those of
+/// the edges it removes (the matched edges at its vertices), compared
+/// field by field, each lexicographically.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Effect {
+    added: Vec<Key>,
+    removed: Vec<Key>,
 }
 
-/// The full scan: every walk counts.
-#[derive(Debug, Clone, Copy)]
-struct Everywhere;
-
-impl Anchor for Everywhere {
-    type State = ();
-
-    #[inline(always)]
-    fn start(self, _: Vertex, _: usize) -> Option<()> {
-        Some(())
-    }
-
-    #[inline(always)]
-    fn step(self, _: (), _: Vertex, _: bool, _: usize) -> Option<()> {
-        Some(())
-    }
-
-    #[inline(always)]
-    fn records(_: ()) -> bool {
-        true
-    }
-}
-
-/// The seeded scan: only walks through a seed count. `alt[v]` is `[0, 0]`
-/// at the seeds and elsewhere a lower bound on `v`'s parity distances
-/// (see [`ParityBfs`]); the state says whether the walk has met a seed
-/// yet.
-#[derive(Debug, Clone, Copy)]
-struct Seeds<'a> {
-    alt: &'a [[u32; 2]],
-    /// The largest seed id (0 when there is none).
-    last_seed: Vertex,
-}
-
-impl Anchor for Seeds<'_> {
-    type State = bool;
-
-    #[inline(always)]
-    fn start(self, start: Vertex, max_len: usize) -> Option<bool> {
-        let [a, b] = self.alt[start as usize];
-        let d = a.min(b) as usize;
-        // a walk from a rim start (parity distance exactly `max_len`) can
-        // meet a seed only as its last vertex, so the reverse walk from
-        // that seed has the same edges and gain; past the last seed, it
-        // was enumerated first and the strict tie-break keeps it
-        (d < max_len || (d == max_len && start < self.last_seed)).then_some(d == 0)
-    }
-
-    #[inline(always)]
-    fn step(self, hit: bool, next: Vertex, in_m: bool, left: usize) -> Option<bool> {
-        if hit {
-            return Some(true);
+impl Effect {
+    /// Sets `self` to the effect of the component `walk` under `m`.
+    fn of(&mut self, m: &Matching, walk: &[Edge]) {
+        self.added.clear();
+        self.removed.clear();
+        for e in walk {
+            if !m.contains(e) {
+                self.added.push((e.key(), e.weight));
+            }
+            for x in [e.u, e.v] {
+                if let Some(me) = m.matched_edge(x) {
+                    self.removed.push((me.key(), me.weight));
+                }
+            }
         }
-        // the rest of the walk to a seed leaves `next` along the other
-        // status
-        let d = self.alt[next as usize][usize::from(!in_m)] as usize;
-        (d <= left).then_some(d == 0)
+        self.added.sort_unstable();
+        self.removed.sort_unstable();
+        // a matched edge is seen once from each endpoint on the walk
+        self.removed.dedup();
     }
+}
 
-    #[inline(always)]
-    fn records(hit: bool) -> bool {
-        hit
-    }
+/// The part of a seeded search a DFS frame belongs to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Branch {
+    /// A walk from the start vertex: every frame of the full scan, and a
+    /// seed's walks whose first edge is unmatched.
+    #[default]
+    Walk,
+    /// A seed's walk whose first edge is the seed's matched edge. Each
+    /// frame is also the prefix of an [`Branch::Extension`].
+    Prefix,
+    /// The other side of a prefix: from the seed along an unmatched edge,
+    /// with the prefix's vertices visited. The walk is the prefix
+    /// reversed, then this side, so the seed lies inside it; it closes no
+    /// cycle, since every cycle through the seed is closed at the seed.
+    Extension,
 }
 
 /// Reusable exhaustive searcher for short augmentations.
@@ -331,6 +303,16 @@ pub struct AugSearcher {
     walk: Vec<Edge>,
     best_walk: Vec<Edge>,
     best_gain: i128,
+    /// Whether an exact tie on the best gain compares effects (a search
+    /// for the winner) or keeps the first walk (a search for its gain).
+    ties: bool,
+    /// `best_walk`'s effect, computed on the first tie (`best_known`),
+    /// and a tying candidate's.
+    best_effect: Effect,
+    best_known: bool,
+    candidate: Effect,
+    /// In an extension, the length of its prefix at the front of `walk`.
+    prefix_len: usize,
     /// [`AugSearcher::converge`]'s best gain per start vertex.
     gains: Vec<i128>,
     /// [`AugSearcher::converge`]'s split of the current winner, and the
@@ -342,6 +324,13 @@ pub struct AugSearcher {
     /// the starts within BFS distance `max_len` of a changed vertex.
     #[cfg(test)]
     stale_counts: [usize; 2],
+    /// Tie compares that met two different effects.
+    #[cfg(test)]
+    distinct_ties: usize,
+    /// The branch that recorded the current winner, and whether it
+    /// closed a cycle.
+    #[cfg(test)]
+    winner: (Branch, bool),
 }
 
 impl AugSearcher {
@@ -366,7 +355,7 @@ impl AugSearcher {
         m: &Matching,
         max_len: usize,
     ) -> Option<Augmentation> {
-        self.search(g, m, max_len, Everywhere);
+        self.search(g, m, max_len);
         if self.best_gain > 0 {
             let aug = Augmentation::from_component(m, &self.best_walk)
                 .expect("gated walks form valid alternating components");
@@ -383,10 +372,10 @@ impl AugSearcher {
     /// variant the dynamic repair path runs on. Returns the (strictly
     /// positive) gain, or `None`; the buffers are cleared either way.
     ///
-    /// The buffers hold exactly the sets
+    /// The buffers hold the sets
     /// [`Augmentation::added`]/[`Augmentation::removed`] would: walk edges
-    /// outside the matching, and the matching neighbourhood of the
-    /// component (each matched edge once).
+    /// outside the matching, each smaller endpoint first, and the matching
+    /// neighbourhood of the component (each matched edge once).
     pub fn best_augmentation_into(
         &mut self,
         g: &Graph,
@@ -395,51 +384,36 @@ impl AugSearcher {
         added: &mut Vec<Edge>,
         removed: &mut Vec<Edge>,
     ) -> Option<i128> {
-        self.search(g, m, max_len, Everywhere);
+        self.search(g, m, max_len);
         self.split_best(m, added, removed)
     }
 
-    /// [`AugSearcher::best_augmentation_into`] restricted to walks that
-    /// pass through a *seed*: `seed_alt[v]` (one entry per vertex) is
-    /// `[0, 0]` exactly at the seeds, and elsewhere at most `v`'s parity
-    /// distances to the seeds — the fewest edges of an alternating walk to
-    /// a seed whose first edge is unmatched, and matched (see
-    /// [`ParityBfs`]). Anything farther than `max_len` may be capped at
-    /// `max_len + 1`. A start whose smaller parity distance exceeds
-    /// `max_len` is skipped. A branch into `next` along an edge of status
-    /// `s`, before the walk has met a seed, is cut when `next`'s distance
-    /// for status `¬s` exceeds the edges left: the rest of the walk from
-    /// `next` to a seed would be an alternating walk starting with status
-    /// `¬s`, so no cut branch could ever be recorded.
+    /// [`AugSearcher::best_augmentation_into`] restricted to walks through
+    /// a *seed*, reading the graph in place: `incident(v)` yields the
+    /// edges at `v` as stored, and `m` covers every vertex they name.
+    /// Duplicate seeds only repeat work.
     ///
-    /// The surviving walks are enumerated in the full scan's order with
-    /// its tie-break, so the winner is the full scan's winner among walks
-    /// through a seed. When every positive walk of at most `max_len`
-    /// edges passes through a seed, that is exactly the full scan's
-    /// result: a walk without one has gain ≤ 0, which the full scan never
-    /// records either.
+    /// From each seed `s` the DFS runs once, recording every walk that
+    /// starts at `s` — reversed, every walk that ends there — and closing
+    /// every cycle through `s`. A walk with `s` inside leaves `s` along
+    /// its matched edge on one side and an unmatched edge on the other, so
+    /// it is a walk from `s` whose first edge is `s`'s matched edge — a
+    /// *prefix* — reversed, then a walk from `s` whose first edge is
+    /// unmatched. Each prefix with edges to spare is a frame of that same
+    /// DFS, and there the DFS runs once more from `s`, along unmatched
+    /// edges, with the prefix's vertices visited. So the search enumerates
+    /// exactly the walks of at most `max_len` edges through a seed, and
+    /// keeps the order-free winner among them (see the module docs),
+    /// whatever order the seeds and `incident` come in.
     ///
-    /// Two facts about the *rim*, the vertices whose smaller parity
-    /// distance is exactly `max_len`, cut the work further without
-    /// changing the result:
-    ///
-    /// * A walk from a rim start meets a seed only as its last vertex,
-    ///   `max_len` edges away, and the reverse walk from that seed has the
-    ///   same edges and gain. A rim start after the last seed is skipped:
-    ///   the reverse was enumerated first, and under the strict tie-break
-    ///   the later copy never wins. Rim starts before the last seed are
-    ///   still searched, so any vertex numbering is exact; numbering the
-    ///   seeds first skips every rim start.
-    /// * No surviving walk steps along an edge whose endpoints both lie
-    ///   at parity distance `max_len` or more, or onto a vertex beyond
-    ///   `max_len`: such a vertex is only a walk's start or its last
-    ///   vertex. `g` may leave those edges out, keeping the others in
-    ///   order, and the result is the same; `m` must still hold the
-    ///   matched edge of every vertex within `max_len`.
+    /// When every positive walk of at most `max_len` edges passes through
+    /// a seed, that is exactly the full scan's result: a walk without one
+    /// has gain ≤ 0, which the full scan never records either.
     ///
     /// # Panics
     ///
-    /// Panics if `seed_alt` is shorter than the vertex count.
+    /// Panics if a seed or an endpoint of an edge the search reaches is
+    /// not a vertex of `m`.
     ///
     /// # Example
     ///
@@ -453,46 +427,50 @@ impl AugSearcher {
     /// g.add_edge(2, 3, 3);
     /// g.add_edge(4, 5, 9);
     /// let m = Matching::from_edges(6, [Edge::new(1, 2, 1)]).unwrap();
-    /// // parity distances to seed 0 at max_len 3, capped at 4: 4 and 5
-    /// // are out of reach, and 2 reaches 0 only by first taking its
-    /// // matched edge, so a walk that enters 2 along it is cut there
-    /// let alt = [[0, 0], [1, 4], [4, 2], [3, 4], [4, 4], [4, 4]];
+    /// let csr = g.csr();
+    /// let incident = |v| csr.edge_ids(v).iter().map(|&id| g.edge(id as usize));
     /// let (mut added, mut removed) = (Vec::new(), Vec::new());
     /// let mut s = AugSearcher::new();
-    /// let gain = s.best_seeded_augmentation_into(&g, &m, 3, &alt, &mut added, &mut removed);
+    /// // from the end 0, the walk 0-1=2-3 swaps {1,2} for its wings
+    /// let gain = s.best_augmentation_through(&m, 3, &[0], incident, &mut added, &mut removed);
     /// assert_eq!(gain, Some(5));
     /// assert_eq!(added, [Edge::new(0, 1, 3), Edge::new(2, 3, 3)]);
+    /// // 1 lies inside it: the prefix 1=2-3, reversed, then the edge 1-0
+    /// let gain = s.best_augmentation_through(&m, 3, &[1], incident, &mut added, &mut removed);
+    /// assert_eq!(gain, Some(5));
     /// // the full scan takes the heavier edge, which no seed reaches
     /// let gain = s.best_augmentation_into(&g, &m, 3, &mut added, &mut removed);
     /// assert_eq!(gain, Some(9));
     /// ```
-    pub fn best_seeded_augmentation_into(
+    pub fn best_augmentation_through<I: IntoIterator<Item = Edge>>(
         &mut self,
-        g: &Graph,
         m: &Matching,
         max_len: usize,
-        seed_alt: &[[u32; 2]],
+        seeds: &[Vertex],
+        incident: impl Fn(Vertex) -> I,
         added: &mut Vec<Edge>,
         removed: &mut Vec<Edge>,
     ) -> Option<i128> {
-        let n = g.vertex_count();
-        assert!(seed_alt.len() >= n, "one parity pair per vertex");
-        let last_seed = seed_alt[..n].iter().rposition(|a| a[0] == 0).unwrap_or(0);
-        let anchor = Seeds {
-            alt: seed_alt,
-            last_seed: last_seed as Vertex,
-        };
-        self.search(g, m, max_len, anchor);
+        self.prepare(m.vertex_count(), max_len);
+        for &s in seeds {
+            self.search_from::<true, _, _>(&incident, m, max_len, s);
+        }
         self.split_best(m, added, removed)
     }
 
     /// Applies best augmentations to `m` until none with positive gain
     /// and at most `max_len` edges remains; returns how many it applied.
     ///
-    /// The result is the matching of the naive loop
-    /// `while let Some(aug) = best_augmentation(g, m, max_len) { aug.apply(m) }`,
-    /// augmentation for augmentation, without its full scan per
-    /// augmentation. One full scan caches each start vertex's best gain.
+    /// The result is the matching of the naive loop that applies the full
+    /// scan's winner until there is none (committing each added edge
+    /// smaller endpoint first), augmentation for augmentation, without its
+    /// full scan per augmentation. One full scan caches each start
+    /// vertex's best gain. The winner's gain is the best cached one, and
+    /// only the starts that cached it have a walk of that gain, so those
+    /// starts alone are searched again, comparing effects across them: a
+    /// path is found from both of its ends, so that is usually two
+    /// searches. No effect is cached.
+    ///
     /// After an augmentation, only the starts with an alternating walk of
     /// at most `max_len` edges to a *changed* vertex — an endpoint of an
     /// added or removed edge — are searched again: the [`ParityBfs`] from
@@ -502,14 +480,11 @@ impl AugSearcher {
     /// walk reads every edge's status through an endpoint that kept its
     /// mate, so it alternates the same way before and after; a start with
     /// no such walk to a changed vertex therefore explores the same walks
-    /// with the same gains, and its cached gain stays current. The first
-    /// start with the largest cached gain is the full scan's winner, and
-    /// searching it once more rebuilds the winning walk.
+    /// with the same gains, and its cached gain stays current.
     ///
     /// Each winner is split into searcher-owned buffers and applied as
-    /// removals then inserts (added edges keep the graph's orientation),
-    /// so once the searcher has run on a graph of this size, `converge`
-    /// does not allocate.
+    /// removals then inserts, so once the searcher has run on a graph of
+    /// this size, `converge` does not allocate.
     ///
     /// # Panics
     ///
@@ -531,26 +506,27 @@ impl AugSearcher {
     pub fn converge(&mut self, g: &Graph, m: &mut Matching, max_len: usize) -> u64 {
         let n = g.vertex_count();
         self.prepare(n, max_len);
+        let csr = g.csr();
+        let adj = |v: Vertex| csr.edge_ids(v).iter().map(move |&id| g.edge(id as usize));
         self.gains.clear();
         self.gains.resize(n, 0);
         for start in 0..n as Vertex {
-            self.gains[start as usize] = self.search_start(g, m, max_len, start);
+            self.gains[start as usize] = self.start_gain(&adj, m, max_len, start);
         }
         let mut applied = 0;
         loop {
-            // the full scan's winner: the first start to hold the
-            // strictly largest gain
-            let mut best = 0;
-            let mut winner = None;
-            for (v, &gain) in self.gains.iter().enumerate() {
-                if gain > best {
-                    best = gain;
-                    winner = Some(v as Vertex);
+            let best = self.gains.iter().copied().max().unwrap_or(0);
+            if best <= 0 {
+                break;
+            }
+            // the full scan's winner, from the starts tied on its gain
+            self.reset_best(true);
+            for start in 0..n {
+                if self.gains[start] == best {
+                    self.search_from::<false, _, _>(&adj, m, max_len, start as Vertex);
                 }
             }
-            let Some(winner) = winner else { break };
-            let gain = self.search_start(g, m, max_len, winner);
-            debug_assert_eq!(gain, best, "cached gains are current");
+            debug_assert_eq!(self.best_gain, best, "cached gains are current");
             let mut added = std::mem::take(&mut self.added);
             let mut removed = std::mem::take(&mut self.removed);
             self.split_best(m, &mut added, &mut removed);
@@ -564,7 +540,6 @@ impl AugSearcher {
             applied += 1;
             self.added = added;
             self.removed = removed;
-            let csr = g.csr();
             // the changed vertices: the endpoints of its added and
             // removed edges
             self.stale.run(
@@ -579,19 +554,20 @@ impl AugSearcher {
             );
             for i in 0..self.stale.reached().len() {
                 let v = self.stale.reached()[i];
-                self.gains[v as usize] = self.search_start(g, m, max_len, v);
+                self.gains[v as usize] = self.start_gain(&adj, m, max_len, v);
             }
-            #[cfg(test)]
+            #[cfg(any(test, feature = "lockstep"))]
             self.check_stale_set(g, m, max_len);
         }
         applied
     }
 
-    /// `converge`'s test-build check after each round of re-searches:
-    /// every start's cached gain equals a fresh search, and the parity
-    /// stale set lies inside the BFS-radius set it replaces (both sizes
-    /// are summed into `stale_counts`).
-    #[cfg(test)]
+    /// `converge`'s check after each round of re-searches, in test builds
+    /// and under the `lockstep` feature: every start's cached gain equals
+    /// a fresh search, and the parity stale set lies inside the
+    /// BFS-radius set it replaces (in test builds both sizes are summed
+    /// into `stale_counts`).
+    #[cfg(any(test, feature = "lockstep"))]
     fn check_stale_set(&mut self, g: &Graph, m: &Matching, max_len: usize) {
         let mut near = vec![false; g.vertex_count()];
         let mut frontier: Vec<Vertex> = self
@@ -618,13 +594,18 @@ impl AugSearcher {
             stale.iter().all(|&v| near[v as usize]),
             "parity distance is at least BFS distance"
         );
-        self.stale_counts[0] += stale.len();
-        self.stale_counts[1] += near.iter().filter(|&&x| x).count();
+        #[cfg(test)]
+        {
+            self.stale_counts[0] += stale.len();
+            self.stale_counts[1] += near.iter().filter(|&&x| x).count();
+        }
+        let csr = g.csr();
+        let adj = |v: Vertex| csr.edge_ids(v).iter().map(move |&id| g.edge(id as usize));
         for v in 0..g.vertex_count() as Vertex {
             let cached = self.gains[v as usize];
             assert_eq!(
                 cached,
-                self.search_start(g, m, max_len, v),
+                self.start_gain(&adj, m, max_len, v),
                 "cached gains are current"
             );
         }
@@ -637,65 +618,83 @@ impl AugSearcher {
         self.walk.reserve(max_len + 1);
         self.best_walk.clear();
         self.best_walk.reserve(max_len + 1);
+        for effect in [&mut self.best_effect, &mut self.candidate] {
+            effect.added.clear();
+            effect.added.reserve(max_len + 1);
+            effect.removed.clear();
+            effect.removed.reserve(2 * max_len + 2);
+        }
+        self.reset_best(true);
+    }
+
+    /// Forgets the winner; `ties` says whether the next search compares
+    /// effects on a tie.
+    fn reset_best(&mut self, ties: bool) {
         self.best_gain = 0;
+        self.best_known = false;
+        self.ties = ties;
     }
 
     /// The best gain (0 if none is positive) over the walks from `start`
-    /// alone, leaving its first winning walk in `best_walk`.
-    fn search_start(&mut self, g: &Graph, m: &Matching, max_len: usize, start: Vertex) -> i128 {
-        self.best_gain = 0;
-        self.search_from(g, m, max_len, Everywhere, start);
+    /// alone, with no effect compared.
+    fn start_gain<F, I>(&mut self, adj: &F, m: &Matching, max_len: usize, start: Vertex) -> i128
+    where
+        F: Fn(Vertex) -> I,
+        I: IntoIterator<Item = Edge>,
+    {
+        self.reset_best(false);
+        self.search_from::<false, F, I>(adj, m, max_len, start);
         self.best_gain
     }
 
-    /// Runs the DFS from every start vertex the anchor admits, leaving the
-    /// winner (if any) in `best_walk`/`best_gain`.
-    fn search<A: Anchor>(&mut self, g: &Graph, m: &Matching, max_len: usize, anchor: A) {
+    /// The full scan: the DFS from every start vertex, leaving the winner
+    /// (if any) in `best_walk`/`best_gain`.
+    fn search(&mut self, g: &Graph, m: &Matching, max_len: usize) {
         let n = g.vertex_count();
         self.prepare(n, max_len);
+        let csr = g.csr();
+        let adj = |v: Vertex| csr.edge_ids(v).iter().map(move |&id| g.edge(id as usize));
         for start in 0..n as Vertex {
-            self.search_from(g, m, max_len, anchor, start);
+            self.search_from::<false, _, _>(&adj, m, max_len, start);
         }
     }
 
-    /// The DFS over simple alternating walks from `start`, recording into
-    /// the running `best_walk`/`best_gain`.
+    /// The DFS over simple alternating walks from `start` (with the
+    /// extensions of [`AugSearcher::best_augmentation_through`] when
+    /// `SEEDED`), offering each to the running winner.
     #[inline(always)]
-    fn search_from<A: Anchor>(
+    fn search_from<const SEEDED: bool, F, I>(
         &mut self,
-        g: &Graph,
+        adj: &F,
         m: &Matching,
         max_len: usize,
-        anchor: A,
         start: Vertex,
-    ) {
-        let Some(state) = anchor.start(start, max_len) else {
-            return;
-        };
+    ) where
+        F: Fn(Vertex) -> I,
+        I: IntoIterator<Item = Edge>,
+    {
         self.scratch.visited.clear();
         self.scratch.visited.insert(start);
         self.walk.clear();
         // the start vertex's matched edge is in the neighbourhood of
         // every non-empty prefix
         let removed = m.incident_weight(start) as i128;
-        self.dfs(
-            g,
-            g.csr(),
+        self.dfs::<SEEDED, F, I>(
+            adj,
             m,
-            anchor,
             start,
             start,
             None,
             max_len,
             0,
             removed,
-            state,
+            Branch::Walk,
         );
     }
 
-    /// Decomposes the recorded winner into `added`/`removed` (both
-    /// cleared first) and returns its gain, or `None` if nothing positive
-    /// was recorded.
+    /// Decomposes the recorded winner into `added` (each edge smaller
+    /// endpoint first) and `removed` (both cleared first) and returns its
+    /// gain, or `None` if nothing positive was recorded.
     fn split_best(
         &mut self,
         m: &Matching,
@@ -713,7 +712,8 @@ impl AugSearcher {
         marks.clear();
         for e in &self.best_walk {
             if !m.contains(e) {
-                added.push(*e);
+                let (u, v) = e.key();
+                added.push(Edge::new(u, v, e.weight));
             }
             for x in [e.u, e.v] {
                 if marks.insert(x) {
@@ -734,30 +734,73 @@ impl AugSearcher {
         Some(self.best_gain)
     }
 
+    /// Whether a walk of gain `gain` is offered to the running winner:
+    /// it beats the best gain, or ties it while ties count.
+    #[inline(always)]
+    fn offered(&self, gain: i128) -> bool {
+        gain > self.best_gain || (self.ties && gain == self.best_gain && gain > 0)
+    }
+
+    /// Offers the component in `walk`, of positive gain `gain ≥
+    /// best_gain`, to the running winner: a larger gain replaces it, and
+    /// an exact tie only with a smaller effect, when ties count. The
+    /// winner is kept as a walk: an extension's prefix reversed, then the
+    /// rest.
+    #[inline(never)]
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn offer(&mut self, m: &Matching, gain: i128, branch: Branch, cycle: bool) {
+        if gain == self.best_gain {
+            self.candidate.of(m, &self.walk);
+            if !self.best_known {
+                self.best_effect.of(m, &self.best_walk);
+                self.best_known = true;
+            }
+            #[cfg(test)]
+            if self.candidate != self.best_effect {
+                self.distinct_ties += 1;
+            }
+            if self.candidate >= self.best_effect {
+                return;
+            }
+            std::mem::swap(&mut self.candidate, &mut self.best_effect);
+        } else {
+            self.best_gain = gain;
+            self.best_known = false;
+        }
+        let (prefix, rest) = self.walk.split_at(self.prefix_len);
+        self.best_walk.clear();
+        self.best_walk.extend(prefix.iter().rev());
+        self.best_walk.extend_from_slice(rest);
+        #[cfg(test)]
+        {
+            self.winner = (branch, cycle);
+        }
+    }
+
     /// Extends the walk edge by edge, carrying the component gain
     /// (`added − removed`, with the matching neighbourhood deduplicated
     /// via the visited marks) in the recursion frame so every prefix is
     /// evaluated without materializing an [`Augmentation`].
     #[allow(clippy::too_many_arguments)]
-    fn dfs<A: Anchor>(
+    fn dfs<const SEEDED: bool, F, I>(
         &mut self,
-        g: &Graph,
-        csr: &crate::csr::CsrView,
+        adj: &F,
         m: &Matching,
-        anchor: A,
         start: Vertex,
         cur: Vertex,
         last_in_m: Option<bool>,
         max_len: usize,
         added: i128,
         removed: i128,
-        state: A::State,
-    ) {
+        branch: Branch,
+    ) where
+        F: Fn(Vertex) -> I,
+        I: IntoIterator<Item = Edge>,
+    {
         if self.walk.len() >= max_len {
             return;
         }
-        for &eid in csr.edge_ids(cur) {
-            let e = g.edge(eid as usize);
+        for e in adj(cur) {
             let in_m = m.contains(&e);
             if let Some(last) = last_in_m {
                 if in_m == last {
@@ -766,20 +809,20 @@ impl AugSearcher {
             }
             let next = e.other(cur);
             if next == start && self.walk.len() >= 2 {
-                // closing a cycle: alternation must hold around the joint too
-                let first_in_m = m.contains(&self.walk[0]);
-                if in_m != first_in_m
-                    && (self.walk.len() + 1).is_multiple_of(2)
-                    && A::records(state)
-                {
+                // closing a cycle: alternation must hold around the joint
+                // too
+                if !SEEDED || branch != Branch::Extension {
+                    let first_in_m = m.contains(&self.walk[0]);
                     // both endpoints are already on the walk: the closing
                     // edge changes only the added weight
                     let gain = added + if in_m { 0 } else { e.weight as i128 } - removed;
-                    if gain > self.best_gain {
-                        self.best_gain = gain;
-                        self.best_walk.clear();
-                        self.best_walk.extend_from_slice(&self.walk);
-                        self.best_walk.push(e);
+                    if in_m != first_in_m
+                        && (self.walk.len() + 1).is_multiple_of(2)
+                        && self.offered(gain)
+                    {
+                        self.walk.push(e);
+                        self.offer(m, gain, branch, true);
+                        self.walk.pop();
                     }
                 }
                 continue;
@@ -787,9 +830,6 @@ impl AugSearcher {
             if self.scratch.visited.contains(next) {
                 continue;
             }
-            let Some(state) = anchor.step(state, next, in_m, max_len - self.walk.len() - 1) else {
-                continue; // no seed within reach
-            };
             let added = added + if in_m { 0 } else { e.weight as i128 };
             // `next` contributes its matched edge to the neighbourhood
             // unless the edge's other endpoint already did
@@ -802,24 +842,43 @@ impl AugSearcher {
             self.scratch.visited.insert(next);
             // every prefix is itself a valid alternating path component
             let gain = added - removed;
-            if A::records(state) && gain > self.best_gain {
-                self.best_gain = gain;
-                self.best_walk.clear();
-                self.best_walk.extend_from_slice(&self.walk);
+            if self.offered(gain) {
+                self.offer(m, gain, branch, false);
             }
-            self.dfs(
-                g,
-                csr,
+            // a seed's walk that leaves along its matched edge is a prefix
+            let branch = if SEEDED && self.walk.len() == 1 && in_m {
+                Branch::Prefix
+            } else {
+                branch
+            };
+            self.dfs::<SEEDED, F, I>(
+                adj,
                 m,
-                anchor,
                 start,
                 next,
                 Some(in_m),
                 max_len,
                 added,
                 removed,
-                state,
+                branch,
             );
+            if SEEDED && branch == Branch::Prefix && self.walk.len() < max_len {
+                // the walks with this prefix on the seed's matched side:
+                // continue them from the seed along an unmatched edge
+                self.prefix_len = self.walk.len();
+                self.dfs::<SEEDED, F, I>(
+                    adj,
+                    m,
+                    start,
+                    start,
+                    Some(true),
+                    max_len,
+                    added,
+                    removed,
+                    Branch::Extension,
+                );
+                self.prefix_len = 0;
+            }
             self.scratch.visited.remove(next);
             self.walk.pop();
         }
@@ -1043,63 +1102,43 @@ mod tests {
     }
 
     /// The reference `converge` must reproduce: one full scan per
-    /// applied augmentation.
+    /// applied augmentation, committing each added edge smaller endpoint
+    /// first.
     fn naive_converge(g: &Graph, m: &mut Matching, max_len: usize) -> u64 {
         let mut applied = 0;
         while let Some(aug) = best_augmentation(g, m, max_len) {
-            aug.apply(m).unwrap();
+            for e in aug.removed() {
+                m.remove_pair(e.u, e.v).unwrap();
+            }
+            for e in aug.added() {
+                let (u, v) = e.key();
+                m.insert(Edge::new(u, v, e.weight)).unwrap();
+            }
             applied += 1;
         }
         applied
     }
 
-    /// Parity distances to `seeds` by vertex, capped at `max_len + 1`:
-    /// the shared [`ParityBfs`] on `g` and `m`.
-    fn parity_distances(
-        g: &Graph,
-        m: &Matching,
-        seeds: &[Vertex],
-        max_len: usize,
-    ) -> Vec<[u32; 2]> {
-        let cap = max_len as u32 + 1;
-        let (mut bfs, mut slots) = (ParityBfs::new(), EpochMap::new());
-        slots.ensure(g.vertex_count());
-        let csr = g.csr();
-        bfs.run(
-            seeds.iter().copied(),
-            max_len,
-            &mut slots,
-            |v| m.mate(v),
-            |v| csr.neighbors(v).iter().copied(),
-        );
-        let mut alt = vec![[cap, cap]; g.vertex_count()];
-        for (&v, &a) in bfs.reached().iter().zip(bfs.alt()) {
-            alt[v as usize] = a;
+    /// `g` with its edges in a random insertion order, each flipped to
+    /// the other orientation at random.
+    fn shuffled(rng: &mut StdRng, g: &Graph) -> Graph {
+        let mut edges = g.edges().to_vec();
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.gen_range(0..=i));
         }
-        alt
+        for e in &mut edges {
+            if rng.gen_bool(0.5) {
+                *e = Edge::new(e.v, e.u, e.weight);
+            }
+        }
+        Graph::from_edges(g.vertex_count(), edges)
     }
 
-    /// BFS depths from `seeds`, capped at `max_len + 1`.
-    fn seed_distances(g: &Graph, seeds: &[Vertex], max_len: usize) -> Vec<u32> {
-        let cap = max_len as u32 + 1;
-        let mut dist = vec![cap; g.vertex_count()];
-        let mut queue = std::collections::VecDeque::new();
-        for &s in seeds {
-            if dist[s as usize] != 0 {
-                dist[s as usize] = 0;
-                queue.push_back(s);
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            let d = dist[v as usize];
-            for w in g.neighbors(v) {
-                if dist[w as usize] == cap && d + 1 < cap {
-                    dist[w as usize] = d + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
+    /// Edges as their sorted (endpoint pair, weight) keys.
+    fn keys(edges: &[Edge]) -> Vec<Key> {
+        let mut keys: Vec<Key> = edges.iter().map(|e| (e.key(), e.weight)).collect();
+        keys.sort_unstable();
+        keys
     }
 
     #[test]
@@ -1169,60 +1208,54 @@ mod tests {
         );
     }
 
-    /// `g` and `m` relabelled as the dynamic repair numbers a ball: the
-    /// seeds first in ascending order, then BFS order from them, then
-    /// every vertex the BFS missed. Edges are added from their smaller new
-    /// endpoint, in new-id order. Returns the graph, the matching and the
-    /// new id of each vertex.
-    fn relabel_from_seeds(
-        g: &Graph,
-        m: &Matching,
-        seeds: &[Vertex],
-    ) -> (Graph, Matching, Vec<u32>) {
-        let n = g.vertex_count();
-        let mut order: Vec<Vertex> = seeds.to_vec();
-        order.sort_unstable();
-        order.dedup();
-        let mut new_id = vec![u32::MAX; n];
-        for (i, &v) in order.iter().enumerate() {
-            new_id[v as usize] = i as u32;
-        }
-        let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            for w in g.neighbors(v) {
-                if new_id[w as usize] == u32::MAX {
-                    new_id[w as usize] = order.len() as u32;
-                    order.push(w);
+    #[test]
+    fn full_scan_winner_is_order_free() {
+        // small weights make gain ties common; the winner (gain and
+        // effect) and the converged matching must not depend on the edge
+        // insertion order or orientation
+        let mut rng = StdRng::seed_from_u64(71);
+        let mut searcher = AugSearcher::new();
+        let (mut a1, mut r1, mut a2, mut r2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut found = 0;
+        for trial in 0..400 {
+            let n = rng.gen_range(4..14);
+            let edges = rng.gen_range(n..3 * n);
+            let mut g = Graph::new(n);
+            for _ in 0..edges {
+                let u = rng.gen_range(0..n as Vertex);
+                let v = (u + rng.gen_range(1..n as Vertex)) % n as Vertex;
+                let w = rng.gen_range(1..=3);
+                g.add_edge(u, v, w);
+                if rng.gen_bool(0.3) {
+                    g.add_edge(v, u, rng.gen_range(1..=3));
                 }
             }
-        }
-        for v in 0..n as Vertex {
-            if new_id[v as usize] == u32::MAX {
-                new_id[v as usize] = order.len() as u32;
-                order.push(v);
-            }
-        }
-        let mut rg = Graph::new(n);
-        let mut rm = Matching::new(n);
-        for (a, &v) in order.iter().enumerate() {
-            let a = a as Vertex;
-            for &eid in g.csr().edge_ids(v) {
-                let e = g.edge(eid as usize);
-                let b = new_id[e.other(v) as usize];
-                if b > a {
-                    rg.add_edge(a, b, e.weight);
+            let mut start = Matching::new(n);
+            if trial % 2 == 1 {
+                for e in g.edges() {
+                    let _ = start.insert(*e);
                 }
             }
-            if let Some(me) = m.matched_edge(v) {
-                let b = new_id[me.other(v) as usize];
-                if b > a {
-                    rm.insert(Edge::new(a, b, me.weight)).unwrap();
-                }
+            let h = shuffled(&mut rng, &g);
+            for max_len in [1usize, 3, 5] {
+                let got = searcher.best_augmentation_into(&g, &start, max_len, &mut a1, &mut r1);
+                let want = searcher.best_augmentation_into(&h, &start, max_len, &mut a2, &mut r2);
+                assert_eq!(got, want, "trial {trial}, max_len {max_len}: gains differ");
+                assert_eq!(keys(&a1), keys(&a2), "trial {trial}: added edges differ");
+                assert_eq!(keys(&r1), keys(&r2), "trial {trial}: removed edges differ");
+                found += usize::from(got.is_some());
+                let (mut mg, mut mh) = (start.clone(), start.clone());
+                let k = searcher.converge(&g, &mut mg, max_len);
+                assert_eq!(searcher.converge(&h, &mut mh, max_len), k);
+                assert_eq!(mg, mh, "trial {trial}, max_len {max_len}: converge differs");
             }
         }
-        (rg, rm, new_id)
+        assert!(found > 300, "the trials must find augmentations ({found})");
+        let ties = searcher.distinct_ties;
+        assert!(
+            ties > 100,
+            "the trials must tie on gain between different effects ({ties})"
+        );
     }
 
     #[test]
@@ -1231,21 +1264,19 @@ mod tests {
         let mut searcher = AugSearcher::new();
         let (mut sa, mut sr, mut fa, mut fr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut found = 0;
-        // how often the cuts applied: vertices within BFS distance
-        // max_len but beyond it in parity distance, rim starts after the
-        // last seed in the relabelled form, and edges left out in the
-        // reduced
-        let (mut parity_cut, mut rim_skips, mut dropped) = (0, 0, 0);
-        let (mut ra, mut rr, mut xa, mut xr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for trial in 0..300 {
-            let n = rng.gen_range(6..18);
-            let edges = rng.gen_range(n..3 * n);
+        // how often the winner came from a prefix's extension (a seed
+        // inside the walk) and from a cycle closed at a seed
+        let (mut extensions, mut cycles) = (0, 0);
+        for trial in 0..6000 {
+            let n = rng.gen_range(6..14);
+            let edges = rng.gen_range(n..4 * n);
             let mut g = random_multigraph(&mut rng, n, edges);
-            let max_len = [1usize, 3, 5][trial % 3];
+            // only max_len 5 has room for a cycle
+            let max_len = [1usize, 3, 5, 5, 5, 5][trial % 6];
             let mut m = Matching::new(n);
             searcher.converge(&g, &mut m, max_len);
             // perturb at random seeds: only walks through them can turn
-            // positive, which is the seeded scan's precondition
+            // positive, which is the seeded search's precondition
             let mut seeds: Vec<Vertex> = Vec::new();
             let matched: Vec<Edge> = m.iter().collect();
             if trial % 2 == 0 && !matched.is_empty() {
@@ -1274,61 +1305,26 @@ mod tests {
                     seeds.extend([u, v]);
                 }
             }
-            // fix-up: search, apply, and seed everything the winner touched
+            // the seeded search reads a shuffled, flipped copy in place
+            // through its CSR; fix-up: search, apply, and seed everything
+            // the winner touched
+            let h = shuffled(&mut rng, &g);
+            let csr = h.csr();
+            let incident = |v| csr.edge_ids(v).iter().map(|&id| h.edge(id as usize));
             loop {
-                let alt = parity_distances(&g, &m, &seeds, max_len);
-                let reach = |v: usize| alt[v][0].min(alt[v][1]) as usize;
-                let dist = seed_distances(&g, &seeds, max_len);
-                parity_cut += (0..n)
-                    .filter(|&v| dist[v] as usize <= max_len && reach(v) > max_len)
-                    .count();
-                let seeded =
-                    searcher.best_seeded_augmentation_into(&g, &m, max_len, &alt, &mut sa, &mut sr);
+                let seeded = searcher
+                    .best_augmentation_through(&m, max_len, &seeds, incident, &mut sa, &mut sr);
+                let winner = searcher.winner;
                 let full = searcher.best_augmentation_into(&g, &m, max_len, &mut fa, &mut fr);
                 assert_eq!(seeded, full, "trial {trial}: gains differ");
-                assert_eq!(sa, fa, "trial {trial}: added edges differ");
-                assert_eq!(sr, fr, "trial {trial}: removed edges differ");
-                // (a) numbered as the repair numbers its ball: the seeds
-                // come first, so every rim start is past the last seed
-                let (rg, rm, new_id) = relabel_from_seeds(&g, &m, &seeds);
-                let mut ralt = vec![[0, 0]; n];
-                for (v, &a) in alt.iter().enumerate() {
-                    ralt[new_id[v] as usize] = a;
-                }
-                rim_skips += (0..n).filter(|&v| reach(v) == max_len).count();
-                let got = searcher
-                    .best_seeded_augmentation_into(&rg, &rm, max_len, &ralt, &mut ra, &mut rr);
-                let want = searcher.best_augmentation_into(&rg, &rm, max_len, &mut xa, &mut xr);
-                assert_eq!(got, want, "trial {trial}: relabelled gains differ");
-                assert_eq!(ra, xa, "trial {trial}: relabelled added edges differ");
-                assert_eq!(rr, xr, "trial {trial}: relabelled removed edges differ");
-                assert_eq!(
-                    got, full,
-                    "trial {trial}: relabelling changed the best gain"
-                );
-                // (b) only the edges the repair kit keeps: both endpoints
-                // within parity distance max_len, not both at it or
-                // beyond; the matching keeps every edge
-                let near: Vec<Edge> = g
-                    .edges()
-                    .iter()
-                    .copied()
-                    .filter(|e| {
-                        let (a, b) = (reach(e.u as usize), reach(e.v as usize));
-                        a.max(b) <= max_len && a.min(b) < max_len
-                    })
-                    .collect();
-                dropped += g.edge_count() - near.len();
-                let reduced = Graph::from_edges(n, near);
-                let got = searcher
-                    .best_seeded_augmentation_into(&reduced, &m, max_len, &alt, &mut ra, &mut rr);
-                assert_eq!(got, full, "trial {trial}: reduced gains differ");
-                assert_eq!(ra, fa, "trial {trial}: reduced added edges differ");
-                assert_eq!(rr, fr, "trial {trial}: reduced removed edges differ");
+                assert_eq!(keys(&sa), keys(&fa), "trial {trial}: added edges differ");
+                assert_eq!(keys(&sr), keys(&fr), "trial {trial}: removed edges differ");
                 if seeded.is_none() {
                     break;
                 }
                 found += 1;
+                extensions += usize::from(winner.0 == Branch::Extension);
+                cycles += usize::from(winner.1);
                 for e in &sr {
                     m.remove_pair(e.u, e.v).unwrap();
                 }
@@ -1344,11 +1340,13 @@ mod tests {
             "the perturbations must open augmentations ({found})"
         );
         assert!(
-            parity_cut > 100,
-            "the parity cut must reach past BFS distance ({parity_cut})"
+            extensions > 100,
+            "prefix extensions must produce winners ({extensions} of {found}, {cycles} cycles)"
         );
-        assert!(rim_skips > 100, "rim starts must be skipped ({rim_skips})");
-        assert!(dropped > 100, "far edges must be left out ({dropped})");
+        assert!(
+            cycles > 100,
+            "cycles must produce winners ({cycles} of {found}, {extensions} extensions)"
+        );
     }
 
     #[test]

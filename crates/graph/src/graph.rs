@@ -42,7 +42,7 @@ pub struct Graph {
     csr: OnceLock<CsrView>,
     /// The most recently invalidated CSR view, kept so the next build can
     /// reuse its arrays instead of allocating (mutation-heavy reuse
-    /// cycles, e.g. the dynamic engine's repair sub-instances, stay
+    /// cycles, e.g. the dynamic engine's whole-graph restores, stay
     /// allocation-free at steady state). Behind a `Mutex` only because
     /// [`Graph::csr`] recycles it from `&self`; the lock is uncontended.
     csr_spare: Mutex<Option<CsrView>>,
@@ -130,8 +130,8 @@ impl Graph {
     /// Repurposes this graph as an empty graph on `n` vertices, keeping
     /// every backing allocation (edge list and recycled CSR arrays).
     ///
-    /// This is the reuse primitive behind the dynamic engine's repair
-    /// sub-instances and rebuild snapshots: one persistent `Graph` is
+    /// This is the reuse primitive behind the dynamic engine's restore
+    /// copies and rebuild snapshots: one persistent `Graph` is
     /// reset and refilled per call, so the hot path never allocates once
     /// the buffers have grown to their steady-state size.
     pub fn reset(&mut self, n: usize) {

@@ -16,10 +16,11 @@
 //!   Hungarian (successive shortest paths), unweighted blossom, and Galil's
 //!   maximum-weight general matching,
 //! * [`aug_search`] — exhaustive short-augmentation search that verifies
-//!   and maintains Fact 1.3: a full scan, a scan anchored at seed
-//!   vertices, and a converge loop that re-searches only the starts that
-//!   reach each applied augmentation, both bounded by the alternating
-//!   reach of a parity BFS,
+//!   and maintains Fact 1.3: a full scan, a search of only the walks
+//!   through seed vertices that reads any adjacency store in place, and a
+//!   converge loop that re-searches only the starts within the
+//!   alternating reach (a parity BFS) of each applied augmentation, all
+//!   under one order-free winner,
 //! * [`csr`] / [`scratch`] — the flat hot-path substrate: cached CSR
 //!   adjacency views ([`CsrView`]) and epoch-stamped scratch arenas
 //!   ([`Scratch`]) that keep the per-round neighbourhood scans of
