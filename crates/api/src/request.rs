@@ -77,7 +77,8 @@ pub struct SolveRequest {
     /// verbatim) and is resolved to a concrete count by
     /// `wmatch_graph::pool::resolve_threads`. The determinism invariant
     /// holds for every value: with a fixed [`SolveRequest::seed`], the
-    /// returned matching is bit-identical for any `threads`.
+    /// returned matching is bit-identical for any `threads`. The dynamic
+    /// solvers accept it but have no parallel layer.
     pub threads: usize,
     /// Maximum edges per repair augmentation for the dynamic solvers
     /// (their bounded-depth search; must lie in `1..=`[`MAX_AUG_DEPTH`]).
@@ -86,11 +87,12 @@ pub struct SolveRequest {
     /// default 3 backs the dynamic solvers' declared ½ floor. Ignored by
     /// non-dynamic solvers.
     pub aug_depth: usize,
-    /// Updates per batched rebuild epoch of `dynamic-wgtaug` (0 = pure
+    /// Updates per rebuild epoch of the dynamic engines (0 = pure
     /// incremental repair, never rebuild; at most [`MAX_BUDGET`]). An
-    /// epoch runs Algorithm 3's weight-class sweep on the solve's worker
-    /// pool, warm-started from the maintained matching. Ignored by
-    /// non-dynamic solvers.
+    /// epoch restores the bounded-augmentation invariant over the whole
+    /// live graph, warm from the maintained matching: under the eager
+    /// repair it only re-checks the invariant, under a deferring policy it
+    /// also settles the pending repairs. Ignored by non-dynamic solvers.
     pub rebuild_threshold: usize,
     /// Vertex-partitioned shards for the `dynamic-sharded` solver: `1` =
     /// a single shard (sequential speculation), `0` = one shard per

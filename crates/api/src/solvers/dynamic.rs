@@ -16,8 +16,7 @@
 //!
 //! Every adapter reports through one assembly path (`report`), so all of
 //! them carry the same seven-key telemetry prefix and cross-solver
-//! tooling can diff recourse, repair work, and pool behaviour without
-//! per-solver cases.
+//! tooling can diff recourse and repair work without per-solver cases.
 
 use std::time::{Duration, Instant};
 
@@ -84,19 +83,13 @@ fn batch_error(e: BatchError) -> SolveError {
     }
 }
 
-/// The [`DynamicConfig`] a request maps onto.
+/// The [`DynamicConfig`] a request maps onto. The incremental and
+/// sharded engines draw no randomness and sweep no weight classes, so
+/// `effort`, `eps` and `seed` do not reach them.
 fn dynamic_cfg(request: &SolveRequest) -> DynamicConfig {
-    let rebuild_rounds = match request.effort {
-        Effort::Quick => 1,
-        Effort::Standard => 2,
-        Effort::Thorough => 4,
-    };
     DynamicConfig::default()
         .with_max_len(request.aug_depth)
         .with_rebuild_threshold(request.rebuild_threshold)
-        .with_rebuild_rounds(rebuild_rounds)
-        .with_eps(request.eps)
-        .with_seed(request.seed)
         .with_threads(request.threads)
 }
 
@@ -150,8 +143,9 @@ fn replay<E: UpdateEngine>(
 /// telemetry prefix, in this pinned order: `updates_applied`,
 /// `recourse_total`, `updates_per_sec`, `augmentations_applied`,
 /// `rebuilds`, `steals`, `scratch_high_water`. Engines without a given
-/// facility report its honest zero (the baseline has no pool, so `steals`
-/// is 0; the walk engine never rebuilds) rather than omitting the key —
+/// facility report its honest zero (no dynamic engine has a worker pool,
+/// so `steals` is 0; the walk engine never rebuilds) rather than omitting
+/// the key —
 /// cross-solver tooling diffs these columns positionally. The solver's
 /// `specific` extras follow the prefix.
 fn report(
@@ -253,8 +247,9 @@ mod tests {
 }
 
 /// The incremental update-stream engine: bounded-depth augmentation
-/// repair around each update, with optional batched rebuild epochs
-/// (Algorithm 3's weight-class sweep on the solve's worker pool).
+/// repair around each update, with optional rebuild epochs
+/// ([`SolveRequest::rebuild_threshold`]) that restore the invariant over
+/// the whole live graph, in place.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DynamicWgtAug;
 

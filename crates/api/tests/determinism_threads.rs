@@ -247,8 +247,8 @@ fn churn_ops(n: u32, len: usize, seed: u64) -> Vec<wmatch_api::UpdateOp> {
 fn competitor_solvers_identical_across_thread_counts() {
     // the shootout competitors share the determinism contract: with a
     // fixed seed the reported matching and the repair counters are
-    // bit-identical for any threads value (the lazy/stale engines' only
-    // parallel layer is the rebuild epoch; the walk engine has none)
+    // bit-identical for any threads value (no dynamic engine has a
+    // parallel layer, rebuild epochs included)
     let inst = Instance::dynamic(Graph::new(24), churn_ops(24, 120, 505));
     for solver in ["dynamic-randomwalk", "dynamic-lazy", "dynamic-stale"] {
         let run = |threads: usize| {

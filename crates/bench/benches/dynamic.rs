@@ -35,8 +35,8 @@ fn bench_engine_replay(c: &mut Criterion) {
 }
 
 fn bench_rebuild_epochs(c: &mut Criterion) {
-    // the batched-epoch configuration: same replay, periodic pooled
-    // class sweeps folded in
+    // the rebuild-epoch configuration: same replay, a periodic global
+    // restore of the invariant folded in
     let mut group = c.benchmark_group("dynamic/engine_replay_rebuild");
     group.sample_size(10);
     let w = DynamicFamily::HeavyChurn.build(1_000, 2_000, 17);

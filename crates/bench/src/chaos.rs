@@ -149,7 +149,7 @@ fn grid_poison(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
         .with_poison_every(7)
         .with_sentinel_every(0);
     let twin = ChaosInjector::new(chaos_cfg);
-    let cfg = DynamicConfig::default().with_seed(5);
+    let cfg = DynamicConfig::default();
 
     let mut reference = ShardedMatcher::new(n, cfg, 4);
     let mut eng = ShardedMatcher::new(n, cfg, 4);
@@ -208,7 +208,7 @@ fn grid_poison(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
 /// the sentinel, healing goes through WAL recovery, and the durable
 /// state stays exactly the clean run's.
 fn grid_bitflip_wal(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
-    let cfg = DynamicConfig::default().with_seed(5).with_threads(2);
+    let cfg = DynamicConfig::default().with_threads(2);
     let mut reference = ShardedMatcher::new(n, cfg, 4);
     reference.apply_all(ops).expect("well-formed stream");
 
@@ -265,7 +265,7 @@ fn grid_bitflip_wal(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
 /// heals via a warm rebuild epoch; the healed matching must re-certify
 /// the Fact 1.3 floor against an exact blossom solve.
 fn grid_bitflip_rebuild(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
-    let cfg = DynamicConfig::default().with_seed(5);
+    let cfg = DynamicConfig::default();
     let mut eng = ShardedMatcher::new(n, cfg, 2);
     eng.install_chaos(
         ChaosConfig::new()
@@ -321,7 +321,7 @@ fn grid_bitflip_rebuild(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
 
 /// Times crash recovery at one WAL snapshot cadence.
 fn recovery_row(n: usize, ops: &[UpdateOp], cadence: usize) -> RecoveryRow {
-    let cfg = DynamicConfig::default().with_seed(5).with_threads(2);
+    let cfg = DynamicConfig::default().with_threads(2);
     let mut eng = ShardedMatcher::new(n, cfg, 4);
     eng.enable_wal(WalConfig::new().with_snapshot_every(cadence));
     eng.apply_all(ops).expect("well-formed stream");
@@ -348,7 +348,7 @@ fn recovery_row(n: usize, ops: &[UpdateOp], cadence: usize) -> RecoveryRow {
 
 /// Measures serve-driver throughput with and without the poison storm.
 fn degraded_row(family: &'static str, n: usize, ops: &[UpdateOp]) -> DegradedRow {
-    let cfg = DynamicConfig::default().with_seed(5).with_threads(2);
+    let cfg = DynamicConfig::default().with_threads(2);
     // clean baseline
     let mut clean_eng = ShardedMatcher::new(n, cfg, 4);
     let t = Instant::now();
@@ -405,7 +405,7 @@ fn degraded_row(family: &'static str, n: usize, ops: &[UpdateOp]) -> DegradedRow
 /// records the worst observed quality ratio, asserting the ½ floor.
 fn ratio_row(family: AdversarialFamily, n: usize, ops: usize, checkpoint: usize) -> RatioRow {
     let w = family.build(n, ops, 0xE13);
-    let cfg = DynamicConfig::default().with_seed(5).with_threads(2);
+    let cfg = DynamicConfig::default().with_threads(2);
     // delete-matching waves start from a non-empty base graph
     let mut eng =
         ShardedMatcher::from_graph(&w.initial, cfg, 4).expect("generated base graph is valid");

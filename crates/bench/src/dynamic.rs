@@ -6,22 +6,24 @@
 //! stream and the E13 adversarial families).
 //!
 //! `report -- dynamic` writes the results as `BENCH_dynamic.json`. Each
-//! row replays one (family, solver) pair through the facade with
-//! certification enabled and records: `updates_per_sec` (replay
-//! throughput, measured before the oracle runs), total and per-op
-//! recourse (matching edges changed), the final matching weight, and
-//! `oracle_ratio` — the certified quality of the final matching against
-//! a from-scratch exact solve, alongside the solver's declared floor.
+//! row replays one (family, solver) pair through the facade
+//! [`REPLAYS`] times, asserts that every replay commits the same
+//! matching and recourse, and records: `updates_per_sec` (the median
+//! replay's throughput, measured before any oracle runs) with its
+//! quartiles, total and per-op recourse (matching edges changed), the
+//! final matching weight, and `oracle_ratio` — the certified quality of
+//! the final matching against a from-scratch exact solve (the first
+//! replay's), alongside the solver's declared floor.
 //! The baseline replays a *prefix* of the same sequence — recomputing
 //! the whole matching after every update is exactly the cost the other
 //! engines avoid, and the honest way to show it is to record the
 //! baseline's own (smaller) op count alongside its throughput rather
 //! than extrapolate.
 //!
-//! Before timing, the suite asserts the engine's cross-thread
-//! determinism contract on each workload (threads 1 vs 4, with rebuild
-//! epochs enabled): a throughput number for a nondeterministic result
-//! would be meaningless.
+//! Before timing, the suite asserts on each workload that the `threads`
+//! knob does not change what the engine commits (threads 1 vs 4, with
+//! rebuild epochs enabled): the engine has no parallel layer, and a
+//! throughput number for a nondeterministic result would be meaningless.
 //!
 //! With `WMATCH_SHOOTOUT_GUARD=1` in the environment (set in CI), the
 //! run additionally fails if any family is missing a solver row or any
@@ -29,9 +31,13 @@
 
 use std::time::Instant;
 
-use wmatch_api::{solve, solver, Instance, SolveRequest};
+use wmatch_api::{solve, solver, Instance, SolveReport, SolveRequest};
 
 use crate::families::{self, AdversarialFamily, DynamicFamily, DynamicWorkload};
+
+/// Replays per row; the row records the median throughput and its
+/// quartiles.
+pub const REPLAYS: usize = 5;
 
 /// The solver labels every family must produce, in row order. The
 /// `+rebuild` row is `dynamic-wgtaug` with rebuild epochs enabled.
@@ -56,8 +62,12 @@ pub struct DynamicRow {
     pub n: usize,
     /// Updates replayed by this row.
     pub ops: usize,
-    /// Replay throughput in updates per second.
+    /// Replay throughput in updates per second: the median of
+    /// [`REPLAYS`] replays.
     pub updates_per_sec: f64,
+    /// The first and third quartiles of the replays' throughput (linear
+    /// interpolation).
+    pub updates_per_sec_quartiles: (f64, f64),
     /// Total matching edges changed across the replay.
     pub recourse_total: u64,
     /// `recourse_total / ops`.
@@ -70,8 +80,9 @@ pub struct DynamicRow {
     pub floor: f64,
 }
 
-/// Replays `inst` under `req` (certification forced on) through the
-/// facade and extracts the row.
+/// Replays `inst` under `req` [`REPLAYS`] times through the facade —
+/// the first with certification forced on — asserts that every replay
+/// commits the first one's matching and recourse, and extracts the row.
 fn measure(
     family: &'static str,
     solver_name: &'static str,
@@ -81,33 +92,42 @@ fn measure(
     n: usize,
     ops: usize,
 ) -> DynamicRow {
-    let report = solve(solver_name, inst, &req.clone().with_certify(true)).expect("dynamic replay");
-    row_from_report(family, solver_name, label, &report, n, ops)
-}
-
-/// Extracts a row from an already-obtained certified report (so a replay
-/// done for a determinism assertion can double as a measurement).
-fn row_from_report(
-    family: &'static str,
-    solver_name: &'static str,
-    label: String,
-    report: &wmatch_api::SolveReport,
-    n: usize,
-    ops: usize,
-) -> DynamicRow {
-    let ups: f64 = report
-        .telemetry
-        .extra("updates_per_sec")
-        .expect("dynamic telemetry")
-        .parse()
-        .unwrap_or(f64::INFINITY);
-    let recourse: u64 = report
-        .telemetry
-        .extra("recourse_total")
-        .expect("dynamic telemetry")
-        .parse()
-        .expect("numeric extra");
-    let cert = report
+    let replay = |certify: bool| {
+        solve(solver_name, inst, &req.clone().with_certify(certify)).expect("dynamic replay")
+    };
+    let first = replay(true);
+    let recourse = |r: &SolveReport| -> u64 {
+        r.telemetry
+            .extra("recourse_total")
+            .expect("dynamic telemetry")
+            .parse()
+            .expect("numeric extra")
+    };
+    let rate = |r: &SolveReport| -> f64 {
+        r.telemetry
+            .extra("updates_per_sec")
+            .expect("dynamic telemetry")
+            .parse()
+            .unwrap_or(f64::INFINITY)
+    };
+    let total = recourse(&first);
+    let mut rates = vec![rate(&first)];
+    for i in 1..REPLAYS {
+        let again = replay(false);
+        assert_eq!(
+            again.matching.to_edges(),
+            first.matching.to_edges(),
+            "{family}/{label}: replay {i} committed another matching"
+        );
+        assert_eq!(
+            recourse(&again),
+            total,
+            "{family}/{label}: replay {i} reported another recourse"
+        );
+        rates.push(rate(&again));
+    }
+    rates.sort_by(f64::total_cmp);
+    let cert = first
         .certificate
         .as_ref()
         .expect("shootout rows are certified");
@@ -120,12 +140,25 @@ fn row_from_report(
         solver: label,
         n,
         ops,
-        updates_per_sec: ups,
-        recourse_total: recourse,
-        recourse_per_op: recourse as f64 / ops.max(1) as f64,
-        final_weight: report.value,
+        updates_per_sec: quantile(&rates, 0.5),
+        updates_per_sec_quartiles: (quantile(&rates, 0.25), quantile(&rates, 0.75)),
+        recourse_total: total,
+        recourse_per_op: total as f64 / ops.max(1) as f64,
+        final_weight: first.value,
         oracle_ratio: cert.ratio,
         floor,
+    }
+}
+
+/// The `p`-quantile of ascending `sorted` (non-empty), interpolated
+/// linearly between the nearest ranks.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let at = p * (sorted.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    if lo == hi {
+        sorted[lo]
+    } else {
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
     }
 }
 
@@ -163,16 +196,9 @@ pub fn run_suite(quick: bool) -> Vec<DynamicRow> {
         let req = SolveRequest::new().with_seed(5);
         let rebuild_req = req.clone().with_rebuild_threshold(ops / 8);
 
-        // determinism first: the maintained matching must be bit-identical
-        // across thread counts (rebuild epochs are the only parallel
-        // layer). The threads=1 run is exactly the rebuild configuration,
-        // so its report doubles as the "+rebuild" measured row below.
-        let a = solve(
-            "dynamic-wgtaug",
-            &full,
-            &rebuild_req.clone().with_certify(true),
-        )
-        .expect("threads=1 replay");
+        // determinism first: the `threads` knob must not change the
+        // committed matching (the engine has no parallel layer)
+        let a = solve("dynamic-wgtaug", &full, &rebuild_req).expect("threads=1 replay");
         let b = solve(
             "dynamic-wgtaug",
             &full,
@@ -194,11 +220,12 @@ pub fn run_suite(quick: bool) -> Vec<DynamicRow> {
             n,
             w.ops.len(),
         ));
-        rows.push(row_from_report(
+        rows.push(measure(
             name,
             "dynamic-wgtaug",
             "dynamic-wgtaug+rebuild".into(),
-            &a,
+            &full,
+            &rebuild_req,
             n,
             w.ops.len(),
         ));
@@ -272,20 +299,23 @@ fn guard(rows: &[DynamicRow]) {
 pub fn to_json(rows: &[DynamicRow], quick: bool) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"hardware_threads\": {},\n  \"unit\": \"updates_per_sec\",\n  \"determinism\": \"dynamic-wgtaug asserted bit-identical across threads 1 and 4 (rebuild epochs enabled)\",\n  \"guard\": \"WMATCH_SHOOTOUT_GUARD=1 fails the run if any solver row is missing or certifies below its declared floor\",\n  \"note\": \"dynamic-rebuild recomputes from scratch per update and is measured on a prefix of the same sequence; compare updates_per_sec, not totals. oracle_ratio is certified on the final live graph by a from-scratch exact solve\",\n  \"benches\": [\n",
+        "  \"mode\": \"{}\",\n  \"hardware_threads\": {},\n  \"unit\": \"updates_per_sec\",\n  \"replays\": {REPLAYS},\n  \"determinism\": \"dynamic-wgtaug asserted bit-identical across threads 1 and 4 with rebuild epochs enabled (the engine has no parallel layer; the knob must not change committed state); every row replayed {REPLAYS} times, each replay asserted to commit the same matching and recourse\",\n  \"timing\": \"updates_per_sec is the median replay's throughput, updates_per_sec_q1/q3 the quartiles (linear interpolation); quality columns come from the first replay\",\n  \"guard\": \"WMATCH_SHOOTOUT_GUARD=1 fails the run if any solver row is missing or certifies below its declared floor\",\n  \"note\": \"dynamic-rebuild recomputes from scratch per update and is measured on a prefix of the same sequence; compare updates_per_sec, not totals. oracle_ratio is certified on the final live graph by a from-scratch exact solve\",\n  \"benches\": [\n",
         if quick { "quick" } else { "full" },
         crate::serve::hardware_threads(),
     ));
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"family\": \"{}\", \"solver\": \"{}\", \"n\": {}, \"ops\": {}, \
-             \"updates_per_sec\": {:.1}, \"recourse_total\": {}, \"recourse_per_op\": {:.3}, \
+             \"updates_per_sec\": {:.1}, \"updates_per_sec_q1\": {:.1}, \
+             \"updates_per_sec_q3\": {:.1}, \"recourse_total\": {}, \"recourse_per_op\": {:.3}, \
              \"final_weight\": {}, \"oracle_ratio\": {:.4}, \"floor\": {}}}{}\n",
             r.family,
             r.solver,
             r.n,
             r.ops,
             r.updates_per_sec,
+            r.updates_per_sec_quartiles.0,
+            r.updates_per_sec_quartiles.1,
             r.recourse_total,
             r.recourse_per_op,
             r.final_weight,
@@ -314,8 +344,9 @@ pub fn run(quick: bool) -> String {
     let mut out = String::from("## Dynamic — the update-stream solver shootout\n\n");
     out.push_str(&format!(
         "written: `{}` (dynamic-wgtaug asserted bit-identical across threads 1/4 before \
-         timing; the recompute baseline replays a prefix — compare updates/s; oracle ratio \
-         certified on the final graph)\n\n",
+         timing; every row replayed {REPLAYS} times, updates/s is the median [quartiles]; the \
+         recompute baseline replays a prefix — compare updates/s; oracle ratio certified on \
+         the final graph)\n\n",
         path.display()
     ));
     out.push_str(
@@ -324,12 +355,14 @@ pub fn run(quick: bool) -> String {
     out.push_str("|---|---|---:|---:|---:|---:|---:|---:|\n");
     for r in &rows {
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.0} | {:.3} | {} | {:.3} |\n",
+            "| {} | {} | {} | {} | {:.0} [{:.0}–{:.0}] | {:.3} | {} | {:.3} |\n",
             r.family,
             r.solver,
             r.n,
             r.ops,
             r.updates_per_sec,
+            r.updates_per_sec_quartiles.0,
+            r.updates_per_sec_quartiles.1,
             r.recourse_per_op,
             r.final_weight,
             r.oracle_ratio
@@ -359,6 +392,7 @@ mod tests {
             n: 16,
             ops: 10,
             updates_per_sec: 123.4,
+            updates_per_sec_quartiles: (120.0, 130.5),
             recourse_total: 7,
             recourse_per_op: 0.7,
             final_weight: 42,
@@ -372,10 +406,21 @@ mod tests {
         let rows = vec![sample_row()];
         let j = to_json(&rows, true);
         assert!(j.contains("\"updates_per_sec\": 123.4"));
+        assert!(j.contains("\"updates_per_sec_q1\": 120.0"));
+        assert!(j.contains("\"updates_per_sec_q3\": 130.5"));
         assert!(j.contains("\"family\": \"sliding-window\""));
         assert!(j.contains("\"oracle_ratio\": 0.9700"));
         assert!(j.contains("\"hardware_threads\":"));
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let five = [1.0, 2.0, 4.0, 8.0, 16.0];
+        assert_eq!(quantile(&five, 0.25), 2.0);
+        assert_eq!(quantile(&five, 0.5), 4.0);
+        assert_eq!(quantile(&five, 0.75), 8.0);
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
     }
 
     #[test]

@@ -335,7 +335,7 @@ fn warm_section(n: usize) -> Vec<WarmRow> {
 /// cold solve of the same snapshot.
 fn churn_section(n: usize, ops: usize, checkpoint: usize) -> ChurnRow {
     let (w, side) = marketplace_bipartite(n, ops, 0x0c2e);
-    let mut eng = DynamicMatcher::new(n, DynamicConfig::default().with_seed(17));
+    let mut eng = DynamicMatcher::new(n, DynamicConfig::default());
     let mut cert = IncrementalCertifier::new(side.clone());
     let (mut warm_ms, mut cold_ms, mut min_ratio) = (0.0f64, 0.0f64, f64::INFINITY);
     for chunk in w.ops.chunks(checkpoint) {

@@ -93,13 +93,11 @@ pub fn hardware_threads() -> usize {
 /// Asserts the sharded engine's determinism contract on a scaled-down
 /// marketplace stream: the full acceptance grid — shards {1, 4, 8} ×
 /// threads {1, 2, 4, 0} × batch {64, 256, 512} — commits bit-identical
-/// state to the sequential engine, with rebuild epochs enabled so the
-/// parallel epoch layer is covered too.
+/// state to the sequential engine, with rebuild epochs enabled so their
+/// global restore is covered too.
 fn assert_determinism(n: usize, ops: usize) {
     let w = marketplace(n, ops, 0xE12);
-    let cfg = DynamicConfig::default()
-        .with_seed(5)
-        .with_rebuild_threshold(ops / 3);
+    let cfg = DynamicConfig::default().with_rebuild_threshold(ops / 3);
     let mut seq = DynamicMatcher::new(n, cfg);
     seq.apply_all(&w.ops)
         .expect("generated stream is well-formed");
@@ -129,7 +127,7 @@ fn assert_determinism(n: usize, ops: usize) {
 /// through the sharded engine itself.
 fn assert_oracle_floor_subsample(n: usize, ops: usize, checkpoint: usize) {
     let w = marketplace(n, ops, 0xF100);
-    let cfg = DynamicConfig::default().with_seed(5);
+    let cfg = DynamicConfig::default();
     let mut sh = ShardedMatcher::new(n, cfg, 4);
     for (i, chunk) in w.ops.chunks(checkpoint).enumerate() {
         sh.apply_all(chunk)
@@ -161,7 +159,7 @@ fn replay_once(
     threads: usize,
     batch: usize,
 ) -> (ServeRow, f64) {
-    let cfg = DynamicConfig::default().with_seed(5).with_threads(threads);
+    let cfg = DynamicConfig::default().with_threads(threads);
     let mut lat_us: Vec<f64> = Vec::with_capacity(ops.len() / batch + 1);
     // replay time = the sum of the timed batches (the final-snapshot
     // certificate below is verification, not service work)

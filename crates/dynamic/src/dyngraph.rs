@@ -6,9 +6,10 @@
 //! dynamic counterpart: a struct-of-arrays slab of live edges plus
 //! per-vertex adjacency lists of edge ids, giving O(1) insertion,
 //! O(degree) deletion, and O(degree) incidence scans without any derived
-//! structure to rebuild. [`DynGraph::snapshot_into`] materializes the
-//! live edges into a reusable [`Graph`] when a static algorithm (the
-//! rebuild epoch's class sweep, an oracle solve) needs one.
+//! structure to rebuild. The engine's searches read it in place through
+//! [`DynGraph::incident`]; [`DynGraph::snapshot`] materializes the live
+//! edges as a static [`Graph`] for the callers that need one (an oracle
+//! solve, a reference scan).
 //!
 //! # Memory layout
 //!
@@ -276,19 +277,7 @@ impl DynGraph {
 
     /// Materializes the live edges as a static [`Graph`] (slab-id order).
     pub fn snapshot(&self) -> Graph {
-        let mut out = Graph::new(self.n);
-        self.snapshot_into(&mut out);
-        out
-    }
-
-    /// Materializes the live edges into a reusable [`Graph`] (slab-id
-    /// order, as [`DynGraph::snapshot`]), keeping `out`'s allocations —
-    /// the rebuild epoch's allocation-free snapshot path.
-    pub fn snapshot_into(&self, out: &mut Graph) {
-        out.reset(self.n);
-        for e in self.live_iter() {
-            out.add_edge(e.u, e.v, e.weight);
-        }
+        Graph::from_edges(self.n, self.live_iter())
     }
 
     /// Compacts when at least [`COMPACT_MIN_DEAD`] slots are dead and the
@@ -396,19 +385,6 @@ mod tests {
         let mut weights: Vec<u64> = s.edges().iter().map(|e| e.weight).collect();
         weights.sort_unstable();
         assert_eq!(weights, vec![2, 7]);
-    }
-
-    #[test]
-    fn snapshot_into_reuses_buffer() {
-        let mut g = DynGraph::new(3);
-        g.insert(0, 1, 2).unwrap();
-        g.insert(1, 2, 3).unwrap();
-        let mut buf = Graph::new(0);
-        g.snapshot_into(&mut buf);
-        assert_eq!(buf, g.snapshot());
-        g.delete(0, 1).unwrap();
-        g.snapshot_into(&mut buf);
-        assert_eq!(buf, g.snapshot());
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! "no short augmentation" agree by construction. Whole-graph restores — the
 //! bootstrap, rebuild epochs, the sentinel heal — run its `converge`
 //! loop, which re-searches only the starts with an alternating walk to a
-//! vertex each applied augmentation changed.
+//! vertex each applied augmentation changed; an epoch and a heal run it
+//! in place on the live graph.
 //!
 //! The off-by-default `lockstep` cargo feature checks every local search
 //! against the full scan of its plain radius-`max_len` ball, and every
@@ -54,16 +55,19 @@
 //! write-ahead log, seeded fault injection ([`ChaosInjector`]) and an
 //! invariant sentinel around each batch, whose ops commit through the
 //! same sequential per-op path as [`DynamicMatcher`] — so it is
-//! bit-identical to it for any shard, thread, or batch count.
+//! bit-identical to it for any shard, thread, or batch count. The
+//! `threads` knob is accepted but decides nothing: the crate has no
+//! parallel layer.
 //!
-//! For batched update epochs, the engine periodically runs a *rebuild*:
-//! one or more rounds of Algorithm 3's weight-class sweep
-//! ([`wmatch_core::main_alg::improve_matching_offline_pooled`]) on the
-//! live snapshot, warm-started from the maintained matching and executed
-//! on a persistent [`WorkerPool`](wmatch_graph::WorkerPool) — with the
-//! same bit-identical-for-any-`threads` determinism contract as every
-//! other parallel layer in the workspace — followed by a global
-//! invariant restore.
+//! Every [`DynamicConfig::rebuild_threshold`] updates, the engine can run
+//! a *rebuild epoch*: a global restore of the invariant, warm from the
+//! maintained matching, whose recourse is the diff against the matching
+//! it started from. Under the eager policy it only re-checks what the
+//! local repairs already keep; under a deferring policy it also settles
+//! the pending repairs. Epochs do not run Algorithm 3's weight-class
+//! sweep: it promises progress only while `w(M) < (1 − ε)·w(M*)`, and on
+//! the maintained matching a sweep at a practical ε never changed what an
+//! epoch's restore commits.
 //!
 //! # Example
 //!

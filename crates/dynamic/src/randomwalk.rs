@@ -197,7 +197,8 @@ impl RandomWalkMatcher {
     }
 
     /// Always 0: the engine is walk-local and never touches a worker
-    /// pool (kept for telemetry parity with the pooled engines).
+    /// pool (kept so the facade's telemetry schema is uniform across the
+    /// dynamic engines).
     pub fn steals(&self) -> u64 {
         0
     }

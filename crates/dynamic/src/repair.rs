@@ -8,17 +8,19 @@
 //! same code.
 //!
 //! **Recourse accounting** lives here as well. Every matching mutation
-//! the kit performs is journalled as `(edge, inserted)`.
+//! the kit performs per update is journalled as `(edge, inserted)`.
 //! [`RepairKit::net_recourse`] folds the journal into the *net* number of
 //! matching edges changed — an edge swapped out and back in within one
 //! update counts zero — which is the one recourse definition the whole
-//! workspace reports (the same symmetric-difference measure the rebuild
-//! epochs and the recompute baseline use).
+//! workspace reports. A whole-graph restore and the recompute baseline
+//! measure the same thing directly, as [`recourse_between`] the matchings
+//! before and after.
 
 use wmatch_graph::aug_search::AugSearcher;
-use wmatch_graph::{Edge, Graph, Matching, Vertex};
+use wmatch_graph::{Edge, Matching, Vertex};
 
 use crate::dyngraph::DynGraph;
+use crate::engine::UpdateStats;
 use crate::update::UpdateOp;
 
 /// Outcome of one repair convergence loop (recourse is *not* here — it
@@ -34,22 +36,21 @@ pub(crate) struct FixOutcome {
 
 /// All reusable state of one repair executor: the exhaustive searcher,
 /// the dirty seeds, the winner's split, the mutation journal, and the
-/// static copy of the graph a whole-graph restore searches. Everything is
-/// persistent — at steady state a repair allocates nothing.
+/// matching a whole-graph restore started from. Everything is persistent
+/// — at steady state a repair allocates nothing.
 ///
-/// A local search runs in place on the live [`DynGraph`] and
-/// [`Matching`]: [`AugSearcher::best_augmentation_through`] from the
-/// dirty seeds, reading each vertex's live edges through
-/// [`DynGraph::incident`].
+/// Every search runs in place on the live [`DynGraph`] and [`Matching`],
+/// reading each vertex's live edges through [`DynGraph::incident`]: a
+/// local one is [`AugSearcher::best_augmentation_through`] from the dirty
+/// seeds, a whole-graph one [`AugSearcher::converge`].
 #[derive(Debug)]
 pub(crate) struct RepairKit {
     pub searcher: AugSearcher,
     pub dirty: Vec<Vertex>,
     added: Vec<Edge>,
     removed: Vec<Edge>,
-    /// The live graph as a static [`Graph`], refilled by each
-    /// [`RepairKit::restore`].
-    whole: Graph,
+    /// The matching before the last [`RepairKit::restore`].
+    before: Matching,
     /// Matching mutations of the current update, in order: `(edge, true)`
     /// for inserts, `(edge, false)` for removals.
     pub journal: Vec<(Edge, bool)>,
@@ -63,7 +64,7 @@ impl RepairKit {
             dirty: Vec::new(),
             added: Vec::new(),
             removed: Vec::new(),
-            whole: Graph::new(0),
+            before: Matching::new(0),
             journal: Vec::new(),
         }
     }
@@ -174,15 +175,23 @@ impl RepairKit {
         (out, false)
     }
 
-    /// Restores the bounded-augmentation invariant over the whole graph
-    /// and returns the augmentations applied: [`AugSearcher::converge`] on
-    /// a static copy of the live graph. Its winner is order-free, so this
-    /// is the result of [`RepairKit::fix_up`] with every vertex dirty,
-    /// augmentation for augmentation. Mutations are not journalled; every
-    /// caller measures an epoch by its matching diff.
-    pub fn restore(&mut self, g: &DynGraph, m: &mut Matching, max_len: usize) -> u64 {
-        g.snapshot_into(&mut self.whole);
-        self.searcher.converge(&self.whole, m, max_len)
+    /// Restores the bounded-augmentation invariant over the whole graph —
+    /// the rebuild epoch and the sentinel's heal without a WAL —
+    /// and returns its gain, its augmentations and its recourse against
+    /// the matching it started from (`rebuilt` stays false).
+    /// [`AugSearcher::converge`] runs in place on the live graph. Its
+    /// winner is order-free, so this is the result of [`RepairKit::fix_up`]
+    /// with every vertex dirty, augmentation for augmentation. Mutations
+    /// are not journalled.
+    pub fn restore(&mut self, g: &DynGraph, m: &mut Matching, max_len: usize) -> UpdateStats {
+        self.before.copy_from(m);
+        let augmentations = self.searcher.converge(m, max_len, |v| g.incident(v));
+        UpdateStats {
+            gain: m.weight() - self.before.weight(),
+            recourse: recourse_between(&self.before, m),
+            augmentations,
+            rebuilt: false,
+        }
     }
 
     /// The best positive augmentation (≤ `max_len` edges) through the
@@ -234,6 +243,25 @@ impl RepairKit {
         );
         found
     }
+}
+
+/// The net recourse from `before` to `after` (two matchings on the same
+/// vertices): the size of their symmetric difference, an edge counted by
+/// its endpoint pair and weight. O(n): each matched edge is read once, at
+/// its smaller endpoint, where an edge kept by both matchings reads the
+/// same on both sides.
+pub(crate) fn recourse_between(before: &Matching, after: &Matching) -> u64 {
+    let at = |m: &Matching, v: Vertex| {
+        m.matched_edge(v)
+            .filter(|e| e.key().0 == v)
+            .map(|e| (e.key(), e.weight))
+    };
+    (0..before.vertex_count() as Vertex)
+        .map(|v| match (at(before, v), at(after, v)) {
+            (b, a) if b == a => 0,
+            (b, a) => b.is_some() as u64 + a.is_some() as u64,
+        })
+        .sum()
 }
 
 /// The op-validity rule, run right after the structural change of `op`
@@ -308,6 +336,8 @@ pub(crate) fn repair_op(
 pub(crate) mod lockstep {
     use std::collections::hash_map::{Entry, HashMap};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    use wmatch_graph::Graph;
 
     use super::*;
 
@@ -414,7 +444,72 @@ pub(crate) mod lockstep {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
+    use crate::engine::{DynamicConfig, DynamicMatcher, RepairPolicy};
+
+    #[test]
+    fn restore_in_place_equals_converge_on_the_snapshot() {
+        // churn with parallel copies (few pairs, many copies) under a
+        // window that is part-way full, so the matching the restore
+        // starts from is stale; the in-place restore must commit what
+        // `converge` on a static snapshot commits, augmentation for
+        // augmentation, and report the recourse of an independent recount
+        let mut rng = StdRng::seed_from_u64(73);
+        let mut total = 0;
+        for max_len in [1usize, 3, 5] {
+            for trial in 0..100 {
+                let n = rng.gen_range(6..14u32);
+                let pairs: Vec<(Vertex, Vertex)> = (0..n + 2)
+                    .map(|_| {
+                        let u = rng.gen_range(0..n);
+                        (u, (u + rng.gen_range(1..n)) % n)
+                    })
+                    .collect();
+                let cfg = DynamicConfig::default().with_max_len(max_len);
+                let mut eng =
+                    DynamicMatcher::new(n as usize, cfg).with_policy(RepairPolicy::Window(8));
+                let mut live: Vec<(Vertex, Vertex)> = Vec::new();
+                for _ in 0..rng.gen_range(8..80) {
+                    let op = if !live.is_empty() && rng.gen_range(0..3) == 0 {
+                        let (u, v) = live.swap_remove(rng.gen_range(0..live.len()));
+                        UpdateOp::delete(u, v)
+                    } else {
+                        let (u, v) = pairs[rng.gen_range(0..pairs.len())];
+                        live.push((u, v));
+                        UpdateOp::insert(u, v, rng.gen_range(1..=9))
+                    };
+                    eng.apply(op).unwrap();
+                }
+                let (g, stale) = (eng.graph(), eng.matching());
+                let mut in_place = stale.clone();
+                let out = RepairKit::new().restore(g, &mut in_place, max_len);
+                let snap = g.snapshot();
+                let csr = snap.csr();
+                let mut reference = stale.clone();
+                let k = AugSearcher::new().converge(&mut reference, max_len, |v| {
+                    csr.edge_ids(v).iter().map(|&id| snap.edge(id as usize))
+                });
+                assert_eq!(out.augmentations, k, "trial {trial}, max_len {max_len}");
+                assert_eq!(in_place, reference, "trial {trial}, max_len {max_len}");
+                let keys = |m: &Matching| -> HashSet<((Vertex, Vertex), u64)> {
+                    m.iter().map(|e| (e.key(), e.weight)).collect()
+                };
+                let recount = keys(stale).symmetric_difference(&keys(&in_place)).count();
+                assert_eq!(out.recourse, recount as u64, "trial {trial}");
+                assert_eq!(out.gain, in_place.weight() - stale.weight());
+                total += k;
+            }
+        }
+        assert!(
+            total > 100,
+            "the restores must apply augmentations ({total})"
+        );
+    }
 
     #[test]
     fn net_recourse_cancels_swap_back() {

@@ -22,9 +22,9 @@
 //! same ops one-by-one into a single [`DynamicMatcher`]** — for any
 //! shard count, any worker-thread count, and any batch size — because it
 //! runs the same code. The batch size only decides where the WAL
-//! journals and where the sentinel and chaos hooks fire; the worker pool
-//! serves the rebuild epochs, which are bit-identical for any thread
-//! count.
+//! journals and where the sentinel and chaos hooks fire; the thread count
+//! is accepted but decides nothing, since the engine has no parallel
+//! layer.
 //!
 //! [`DynamicMatcher`]: crate::DynamicMatcher
 
@@ -36,8 +36,8 @@ use crate::certifier::CheckpointCertificate;
 use crate::chaos::{ChaosConfig, ChaosCounters, ChaosInjector};
 use crate::dyngraph::DynGraph;
 use crate::engine::{
-    apply_each, run_rebuild_epoch, static_bounded_matching, BatchError, BatchStats, DynamicConfig,
-    DynamicCounters, EngineCore, UpdateEngine, UpdateStats,
+    apply_each, static_bounded_matching, BatchError, BatchStats, DynamicConfig, DynamicCounters,
+    EngineCore, UpdateEngine, UpdateStats,
 };
 use crate::error::DynamicError;
 use crate::update::UpdateOp;
@@ -175,15 +175,16 @@ impl ShardedMatcher {
         0
     }
 
-    /// Chunks stolen across the rebuild epochs' pool jobs so far (always
-    /// 0 at `threads = 1`) — scheduler telemetry, never semantics.
+    /// Chunks stolen across worker pools — always 0: the engine has no
+    /// parallel layer. Exposed so the facade's telemetry schema is uniform
+    /// across the dynamic engines.
     pub fn steals(&self) -> u64 {
-        self.core.pool.steals()
+        0
     }
 
     /// The largest dense scratch footprint any repair path has used.
     pub fn scratch_high_water(&self) -> usize {
-        self.core.scratch_high_water()
+        self.core.kit.scratch_high_water()
     }
 
     /// Applies one batch, committing its ops in stream order through the
@@ -474,16 +475,24 @@ impl ShardedMatcher {
     /// Quarantines a shard the sentinel flagged and heals the engine:
     /// with a WAL, a full [`ShardedMatcher::recover`] (bit-identical to
     /// the uninterrupted run); without one, dead matched entries are
-    /// dropped and a warm restore-only rebuild epoch re-certifies the
-    /// Fact 1.3 floor on the surviving state. Public so serve drivers
-    /// and watchdogs (e.g. [`ServeDriver`](crate::ServeDriver) after a
-    /// deferred-repair flush) can heal a flagged shard on the spot
-    /// instead of waiting for the next batch's sentinel gate.
+    /// dropped and the global restore of a rebuild epoch re-certifies the
+    /// Fact 1.3 floor on the surviving state, warm and in place. Public
+    /// so serve drivers and watchdogs (e.g.
+    /// [`ServeDriver`](crate::ServeDriver) after a deferred-repair flush)
+    /// can heal a flagged shard on the spot instead of waiting for the
+    /// next batch's sentinel gate.
     pub fn quarantine_heal(&mut self, shard: usize) {
         if self.wal.is_some() {
             self.recover();
         } else {
-            let EngineCore { g, m, .. } = &mut self.core;
+            let EngineCore {
+                g,
+                m,
+                cfg,
+                kit,
+                counters,
+                ..
+            } = &mut self.core;
             let n = g.vertex_count();
             for v in 0..n as Vertex {
                 if let Some(e) = m.matched_edge(v) {
@@ -492,23 +501,10 @@ impl ShardedMatcher {
                     }
                 }
             }
-            // restore-only epoch: rebuild_rounds = 0 skips the class
-            // sweep (randomness unused), re-certifying the invariant
-            // globally; the epoch counter is not consumed
-            let cfg = self.core.cfg.with_rebuild_rounds(0);
-            let EngineCore {
-                g,
-                m,
-                pool,
-                kit,
-                rebuild,
-                counters,
-                ..
-            } = &mut self.core;
-            let (recourse, _gain, augs) =
-                run_rebuild_epoch(g, m, &cfg, pool, kit, rebuild, counters.rebuilds);
-            counters.recourse_total += recourse;
-            counters.augmentations_applied += augs;
+            // an epoch's restore, without consuming the epoch counter
+            let heal = kit.restore(g, m, cfg.max_len);
+            counters.recourse_total += heal.recourse;
+            counters.augmentations_applied += heal.augmentations;
         }
         if let Some(c) = self.core.chaos.as_mut() {
             c.counters.sentinel_trips += 1;
@@ -594,7 +590,7 @@ impl UpdateEngine for ShardedMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DynamicMatcher;
+    use crate::engine::{DynamicMatcher, RepairPolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use wmatch_graph::Vertex;
@@ -677,7 +673,6 @@ mod tests {
         for &threads in &[1usize, 2] {
             let cfg = DynamicConfig::default()
                 .with_rebuild_threshold(32)
-                .with_seed(7)
                 .with_threads(threads);
             for &shards in &[2usize, 4] {
                 assert_matches_sequential(cfg, &ops, shards, 50);
@@ -745,6 +740,88 @@ mod tests {
             assert_matches_sequential(cfg, &ops, 2, 32);
             assert_matches_sequential(cfg, &ops, 8, 32);
         }
+    }
+
+    /// Every matched pair holds its heaviest live copy.
+    fn assert_heaviest_copies(g: &DynGraph, m: &Matching, at: &str) {
+        for e in m.iter() {
+            let heaviest = g
+                .incident(e.u)
+                .filter(|x| x.touches(e.v))
+                .map(|x| x.weight)
+                .max();
+            assert_eq!(Some(e.weight), heaviest, "{at}: {e:?}");
+        }
+    }
+
+    #[test]
+    fn epochs_and_heals_keep_the_heaviest_copy_matched() {
+        // no epoch upgrades a matched pair to a heavier parallel copy: the
+        // validity rule swaps one in on insert, and a search never adds
+        // the lighter copy of an unmatched pair (the same walk through
+        // the heavier copy gains strictly more)
+        let mut rng = StdRng::seed_from_u64(0x4eaf);
+        let pairs: Vec<(Vertex, Vertex)> = (0..10)
+            .map(|_| {
+                let u = rng.gen_range(0..16u32);
+                (u, (u + rng.gen_range(1..16u32)) % 16)
+            })
+            .collect();
+        let mut ops = Vec::new();
+        let mut live: Vec<(Vertex, Vertex)> = Vec::new();
+        for _ in 0..600 {
+            if !live.is_empty() && rng.gen_range(0..3) == 0 {
+                let (u, v) = live.swap_remove(rng.gen_range(0..live.len()));
+                ops.push(UpdateOp::delete(u, v));
+            } else {
+                let (u, v) = pairs[rng.gen_range(0..pairs.len())];
+                live.push((u, v));
+                ops.push(UpdateOp::insert(u, v, rng.gen_range(1..30u64)));
+            }
+        }
+        let cfg = DynamicConfig::default().with_rebuild_threshold(7);
+        let mut epochs = 0;
+        for policy in [
+            RepairPolicy::Eager,
+            RepairPolicy::Budget(1),
+            RepairPolicy::Window(5),
+        ] {
+            let mut eng = DynamicMatcher::new(16, cfg).with_policy(policy);
+            for (i, &op) in ops.iter().enumerate() {
+                if eng.apply(op).unwrap().rebuilt {
+                    epochs += 1;
+                    assert_heaviest_copies(
+                        eng.graph(),
+                        eng.matching(),
+                        &format!("{policy:?} op {i}"),
+                    );
+                }
+            }
+        }
+        assert!(epochs > 200, "epochs must fire ({epochs})");
+        // heals without a WAL: a bit flip rewrites a matched weight, the
+        // sentinel drops the dead entry and the restore re-matches
+        let mut eng = ShardedMatcher::new(16, cfg, 2).with_batch_size(6);
+        eng.install_chaos(ChaosConfig::new().with_seed(3).with_bitflip_every(2));
+        let mut heals = 0;
+        for (b, batch) in ops.chunks(6).enumerate() {
+            let flips = eng.chaos_counters().unwrap().bit_flips;
+            match eng.apply_batch(batch) {
+                Err(e) => {
+                    assert!(e.is_transient(), "{e}");
+                    heals += 1;
+                    assert_heaviest_copies(eng.graph(), eng.matching(), &format!("heal {b}"));
+                    eng.apply_batch(batch).unwrap();
+                }
+                Ok(stats)
+                    if stats.rebuilds > 0 && eng.chaos_counters().unwrap().bit_flips == flips =>
+                {
+                    assert_heaviest_copies(eng.graph(), eng.matching(), &format!("batch {b}"));
+                }
+                Ok(_) => {}
+            }
+        }
+        assert!(heals > 10, "heals must run ({heals})");
     }
 
     #[test]

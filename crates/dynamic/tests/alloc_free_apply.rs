@@ -1,11 +1,11 @@
 //! Counting-allocator proof that the dynamic engine's update path is
 //! allocation-free at steady state: once a warm-up cycle has sized every
-//! persistent buffer (slab, adjacency, repair-kit arenas, recycled CSR
-//! views, rebuild snapshot, pending-repair set), re-applying the
-//! identical op cycle — running restore-only rebuild epochs (including
-//! one whose global restore applies an augmentation), deferring repairs
-//! under a budget or window policy and flushing them, or feeding the
-//! sharded engine's batch path — must not touch the allocator.
+//! persistent buffer (slab, adjacency, repair-kit arenas, the restore's
+//! pre-epoch matching, pending-repair set), re-applying the identical op
+//! cycle — running rebuild epochs, which restore the invariant in place
+//! (including one whose global restore applies an augmentation), deferring
+//! repairs under a budget or window policy and flushing them, or feeding
+//! the sharded engine's batch path — must not touch the allocator.
 //!
 //! This file holds a single test so no concurrent test thread can
 //! perturb the counter (the same discipline as the graph crate's
@@ -105,12 +105,9 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
         "warmed-up apply must not touch the allocator ({during} allocations)"
     );
 
-    // phase 2: restore-only rebuild epochs (rebuild_rounds = 0 skips the
-    // allocating class sweep; the epoch still snapshots, re-certifies the
-    // invariant globally, and diffs against the pre-epoch matching)
-    let cfg = DynamicConfig::default()
-        .with_rebuild_threshold(10)
-        .with_rebuild_rounds(0);
+    // phase 2: rebuild epochs (each re-certifies the invariant globally in
+    // place and diffs against the pre-epoch matching)
+    let cfg = DynamicConfig::default().with_rebuild_threshold(10);
     let mut eng = DynamicMatcher::new(n, cfg);
     eng.apply_all(&base).expect("base ops are well-formed");
     // two warm-up cycles: the first grows the epoch buffers, the second
@@ -128,7 +125,7 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
     );
     assert_eq!(
         during, 0,
-        "warmed-up restore-only epochs must not allocate ({during} allocations)"
+        "warmed-up rebuild epochs must not allocate ({during} allocations)"
     );
 
     // phase 3: the deferring policies — a budget that runs out (carrying
@@ -168,14 +165,12 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
         );
     }
 
-    // phase 4: a restore-only epoch whose global restore applies an
+    // phase 4: a rebuild epoch whose global restore applies an
     // augmentation. Under a budget of 1 the teardown's matched delete
     // re-matches one light pair and leaves the other pending; with two
     // lead-in ops and 6-op cycles, the epoch comes due on exactly that
     // delete in every cycle, and its restore matches the second pair.
-    let cfg = DynamicConfig::default()
-        .with_rebuild_threshold(6)
-        .with_rebuild_rounds(0);
+    let cfg = DynamicConfig::default().with_rebuild_threshold(6);
     let mut eng = DynamicMatcher::new(n, cfg).with_policy(RepairPolicy::Budget(1));
     eng.apply_all(&[UpdateOp::insert(10, 11, 7), UpdateOp::delete(10, 11)])
         .expect("lead-in ops are well-formed");

@@ -80,9 +80,7 @@ fn hundred_thousand_op_churn_holds_floor_at_checkpoints() {
     const OPS: usize = 100_000;
     const CHECKPOINT: usize = 1_000;
     let mut rng = StdRng::seed_from_u64(0xA11CE);
-    let cfg = DynamicConfig::default()
-        .with_rebuild_threshold(20_000)
-        .with_seed(7);
+    let cfg = DynamicConfig::default().with_rebuild_threshold(20_000);
     let mut eng = DynamicMatcher::new(N, cfg);
     let mut live = Vec::new();
     for step in 1..=OPS {
@@ -135,9 +133,7 @@ fn bipartite_churn_certifies_warm_at_every_thousand_ops() {
     const OPS: usize = 20_000;
     const CHECKPOINT: usize = 1_000;
     let mut rng = StdRng::seed_from_u64(0xB1BA);
-    let cfg = DynamicConfig::default()
-        .with_rebuild_threshold(5_000)
-        .with_seed(13);
+    let cfg = DynamicConfig::default().with_rebuild_threshold(5_000);
     let mut eng = DynamicMatcher::new(N, cfg);
     let side: Vec<bool> = (0..N).map(|v| v >= N / 2).collect();
     let mut cert = IncrementalCertifier::new(side.clone());
@@ -219,12 +215,10 @@ fn parallel_edges_agree_with_oracle_through_churn() {
 #[test]
 fn weight_class_boundary_crossings_survive_rebuild_epochs() {
     // weights straddling the geometric weight-class boundaries (the
-    // power-of-two grid of the rebuild epochs' class sweep): every class
-    // of the grid is populated on both sides of a boundary, and rebuild
-    // epochs run right through them
-    let cfg = DynamicConfig::default()
-        .with_rebuild_threshold(8)
-        .with_seed(3);
+    // power-of-two grid of Algorithm 3's class sweep): every class of the
+    // grid is populated on both sides of a boundary, and rebuild epochs
+    // run right through them
+    let cfg = DynamicConfig::default().with_rebuild_threshold(8);
     let mut eng = DynamicMatcher::new(20, cfg);
     let mut step = 0usize;
     for k in 1..6u32 {
@@ -340,13 +334,11 @@ proptest! {
     #[test]
     fn random_sequences_bit_identical_across_threads(
         (n, raw) in arb_update_plan(10, 40),
-        seed in 0u64..50,
     ) {
         let ops = interpret(n, &raw);
         let run = |threads: usize| {
             let cfg = DynamicConfig::default()
                 .with_rebuild_threshold(10)
-                .with_seed(seed)
                 .with_threads(threads);
             let mut eng = DynamicMatcher::new(n, cfg);
             eng.apply_all(&ops).expect("interpreted ops are well-formed");
@@ -367,12 +359,9 @@ proptest! {
     #[test]
     fn sharded_bit_identical_to_sequential_and_holds_floor(
         (n, raw) in arb_update_plan(12, 60),
-        seed in 0u64..20,
     ) {
         let ops = interpret(n, &raw);
-        let cfg = DynamicConfig::default()
-            .with_rebuild_threshold(25)
-            .with_seed(seed);
+        let cfg = DynamicConfig::default().with_rebuild_threshold(25);
         let mut seq = DynamicMatcher::new(n, cfg);
         let want_stats = seq.apply_all(&ops).expect("interpreted ops are well-formed");
         for shards in [1usize, 2, 8] {
@@ -430,12 +419,10 @@ fn sharded_boundary_churn_matches_sequential_with_floor_checkpoints() {
             live.push((u, v));
         }
     }
-    let cfg = DynamicConfig::default()
-        .with_rebuild_threshold(1_000)
-        .with_seed(11);
+    let cfg = DynamicConfig::default().with_rebuild_threshold(1_000);
     let mut seq = DynamicMatcher::new(N, cfg);
-    // threads = 2 gives the rebuild epochs a two-worker pool, which must
-    // not change the committed state either
+    // threads = 2 is accepted and must not change the committed state
+    // either
     let mut sh = ShardedMatcher::new(N, cfg.with_threads(2), 8).with_batch_size(128);
     for (step, chunk) in ops.chunks(500).enumerate() {
         seq.apply_all(chunk).expect("well-formed");
@@ -476,7 +463,7 @@ fn hub_vertex_batches_collapse_to_one_group_and_agree() {
             live.push(v);
         }
     }
-    let cfg = DynamicConfig::default().with_seed(17);
+    let cfg = DynamicConfig::default();
     let mut seq = DynamicMatcher::new(N, cfg);
     let mut sh = ShardedMatcher::new(N, cfg.with_threads(2), 8).with_batch_size(BATCH);
     for (step, chunk) in ops.chunks(500).enumerate() {

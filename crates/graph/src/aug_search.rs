@@ -3,24 +3,26 @@
 //! Fact 1.3 of the paper: *if there is no augmenting path or cycle of
 //! length at most 2ℓ−1, then `M` is a (1−1/ℓ)-approximate matching.* This
 //! module provides the exhaustive searcher that certifies that fact and
-//! maintains it: it enumerates every simple alternating path and cycle
-//! with at most `max_len` edges and reports the one with the largest
-//! (positive) gain. The cost is exponential in `max_len` and linear in
-//! the vertices searched from, so the searcher offers three scopes of
-//! one DFS:
+//! maintains it: it enumerates every simple alternating path with at
+//! most `max_len` edges and reports the one with the largest (positive)
+//! gain. Cycles need no search of their own: with the matching
+//! neighbourhood counted as removed, an alternating cycle has the gain
+//! and the effect of the one-edge-shorter path that leaves out a matched
+//! edge of it. The cost is exponential in `max_len` and linear in the
+//! vertices searched from, so the searcher offers three scopes of one
+//! DFS, each reading adjacency through a closure:
 //!
 //! * **the full scan** ([`AugSearcher::best_augmentation`],
 //!   [`AugSearcher::best_augmentation_into`]) starts a walk at every
-//!   vertex;
+//!   vertex of a [`Graph`];
 //! * **the seeded search** ([`AugSearcher::best_augmentation_through`])
-//!   keeps only walks through a *seed* vertex, and reads the graph in
-//!   place through an adjacency closure. From each seed the DFS runs
-//!   once, finding every walk that starts there and every cycle through
-//!   it, and once more for each alternating prefix that leaves the seed
-//!   along its matched edge, finding the walks with the seed inside. When
-//!   every positive walk passes through a seed — the dynamic engine's
-//!   locality argument: the seeds are whatever an update or a repair
-//!   touched — it returns exactly what the full scan returns;
+//!   keeps only walks through a *seed* vertex. From each seed the DFS
+//!   runs once, finding every walk that starts there, and once more for
+//!   each alternating prefix that leaves the seed along its matched edge,
+//!   finding the walks with the seed inside. When every positive walk
+//!   passes through a seed — the dynamic engine's locality argument: the
+//!   seeds are whatever an update or a repair touched — it returns
+//!   exactly what the full scan returns;
 //! * **[`AugSearcher::converge`]** applies best augmentations until none
 //!   is left, with one full scan up front and, after each applied
 //!   augmentation, a re-search of only the starts with an alternating
@@ -43,9 +45,9 @@
 //! gives each vertex the fewest edges of an alternating walk to a source
 //! set, once per status (matched or not) of the walk's first edge.
 //!
-//! The searcher runs on the flat hot path: the full scan and `converge`
-//! read the graph's cached [`CsrView`](crate::CsrView) slices, the seeded
-//! search whatever store its closure reads, the visited set is
+//! The searcher runs on the flat hot path: the full scan reads the
+//! graph's cached [`CsrView`](crate::CsrView) slices, the seeded search
+//! and `converge` whatever store their closure reads, the visited set is
 //! the [`Scratch`] arena's epoch-stamped set, reset in O(1) per
 //! start vertex, and candidate gains are tracked incrementally along the
 //! walk — the DFS inner loop performs no heap allocation (an
@@ -58,9 +60,10 @@ use crate::graph::Graph;
 use crate::matching::Matching;
 use crate::scratch::{EpochMap, Scratch};
 
-/// Finds the best augmentation (alternating path or cycle, at most
-/// `max_len` edges on the component) with strictly positive gain, or `None`
-/// if no such augmentation exists.
+/// Finds the best augmentation (an alternating path of at most `max_len`
+/// edges) with strictly positive gain, or `None` if no such augmentation
+/// exists. An alternating cycle is never returned: the path that leaves
+/// out one of its matched edges has the same gain and the same effect.
 ///
 /// Convenience wrapper constructing a fresh [`AugSearcher`]; reuse a
 /// searcher when calling in a loop.
@@ -274,8 +277,7 @@ enum Branch {
     Prefix,
     /// The other side of a prefix: from the seed along an unmatched edge,
     /// with the prefix's vertices visited. The walk is the prefix
-    /// reversed, then this side, so the seed lies inside it; it closes no
-    /// cycle, since every cycle through the seed is closed at the seed.
+    /// reversed, then this side, so the seed lies inside it.
     Extension,
 }
 
@@ -327,10 +329,9 @@ pub struct AugSearcher {
     /// Tie compares that met two different effects.
     #[cfg(test)]
     distinct_ties: usize,
-    /// The branch that recorded the current winner, and whether it
-    /// closed a cycle.
+    /// The branch that recorded the current winner.
     #[cfg(test)]
-    winner: (Branch, bool),
+    winner: Branch,
 }
 
 impl AugSearcher {
@@ -394,8 +395,8 @@ impl AugSearcher {
     /// Duplicate seeds only repeat work.
     ///
     /// From each seed `s` the DFS runs once, recording every walk that
-    /// starts at `s` — reversed, every walk that ends there — and closing
-    /// every cycle through `s`. A walk with `s` inside leaves `s` along
+    /// starts at `s` — reversed, every walk that ends there. A walk with
+    /// `s` inside leaves `s` along
     /// its matched edge on one side and an unmatched edge on the other, so
     /// it is a walk from `s` whose first edge is `s`'s matched edge — a
     /// *prefix* — reversed, then a walk from `s` whose first edge is
@@ -460,6 +461,8 @@ impl AugSearcher {
 
     /// Applies best augmentations to `m` until none with positive gain
     /// and at most `max_len` edges remains; returns how many it applied.
+    /// The graph is read in place: `incident(v)` yields the edges at `v`
+    /// as stored, for every vertex of `m`.
     ///
     /// The result is the matching of the naive loop that applies the full
     /// scan's winner until there is none (committing each added edge
@@ -488,7 +491,7 @@ impl AugSearcher {
     ///
     /// # Panics
     ///
-    /// Panics if `m` covers fewer vertices than `g`.
+    /// Panics if an edge names a vertex outside `m`.
     ///
     /// # Example
     ///
@@ -497,21 +500,26 @@ impl AugSearcher {
     /// use wmatch_graph::generators;
     ///
     /// let g = generators::path_graph(&[4, 6, 4]);
+    /// let csr = g.csr();
+    /// let incident = |v| csr.edge_ids(v).iter().map(|&id| g.edge(id as usize));
     /// let mut m = Matching::new(4);
     /// // grab the middle edge, then swap it for the outer pair
-    /// assert_eq!(AugSearcher::new().converge(&g, &mut m, 3), 2);
+    /// assert_eq!(AugSearcher::new().converge(&mut m, 3, incident), 2);
     /// assert_eq!(m.weight(), 8);
     /// assert!(best_augmentation(&g, &m, 3).is_none());
     /// ```
-    pub fn converge(&mut self, g: &Graph, m: &mut Matching, max_len: usize) -> u64 {
-        let n = g.vertex_count();
+    pub fn converge<I: IntoIterator<Item = Edge>>(
+        &mut self,
+        m: &mut Matching,
+        max_len: usize,
+        incident: impl Fn(Vertex) -> I,
+    ) -> u64 {
+        let n = m.vertex_count();
         self.prepare(n, max_len);
-        let csr = g.csr();
-        let adj = |v: Vertex| csr.edge_ids(v).iter().map(move |&id| g.edge(id as usize));
         self.gains.clear();
         self.gains.resize(n, 0);
         for start in 0..n as Vertex {
-            self.gains[start as usize] = self.start_gain(&adj, m, max_len, start);
+            self.gains[start as usize] = self.start_gain(&incident, m, max_len, start);
         }
         let mut applied = 0;
         loop {
@@ -523,7 +531,7 @@ impl AugSearcher {
             self.reset_best(true);
             for start in 0..n {
                 if self.gains[start] == best {
-                    self.search_from::<false, _, _>(&adj, m, max_len, start as Vertex);
+                    self.search_from::<false, _, _>(&incident, m, max_len, start as Vertex);
                 }
             }
             debug_assert_eq!(self.best_gain, best, "cached gains are current");
@@ -550,14 +558,14 @@ impl AugSearcher {
                 max_len,
                 &mut self.scratch.count,
                 |v| m.mate(v),
-                |v| csr.neighbors(v).iter().copied(),
+                |v| incident(v).into_iter().map(move |e| e.other(v)),
             );
             for i in 0..self.stale.reached().len() {
                 let v = self.stale.reached()[i];
-                self.gains[v as usize] = self.start_gain(&adj, m, max_len, v);
+                self.gains[v as usize] = self.start_gain(&incident, m, max_len, v);
             }
             #[cfg(any(test, feature = "lockstep"))]
-            self.check_stale_set(g, m, max_len);
+            self.check_stale_set(&incident, m, max_len);
         }
         applied
     }
@@ -568,8 +576,12 @@ impl AugSearcher {
     /// BFS-radius set it replaces (in test builds both sizes are summed
     /// into `stale_counts`).
     #[cfg(any(test, feature = "lockstep"))]
-    fn check_stale_set(&mut self, g: &Graph, m: &Matching, max_len: usize) {
-        let mut near = vec![false; g.vertex_count()];
+    fn check_stale_set<F, I>(&mut self, incident: &F, m: &Matching, max_len: usize)
+    where
+        F: Fn(Vertex) -> I,
+        I: IntoIterator<Item = Edge>,
+    {
+        let mut near = vec![false; m.vertex_count()];
         let mut frontier: Vec<Vertex> = self
             .added
             .iter()
@@ -581,7 +593,8 @@ impl AugSearcher {
         }
         for _ in 0..max_len {
             for v in std::mem::take(&mut frontier) {
-                for w in g.neighbors(v) {
+                for e in incident(v) {
+                    let w = e.other(v);
                     if !near[w as usize] {
                         near[w as usize] = true;
                         frontier.push(w);
@@ -599,13 +612,11 @@ impl AugSearcher {
             self.stale_counts[0] += stale.len();
             self.stale_counts[1] += near.iter().filter(|&&x| x).count();
         }
-        let csr = g.csr();
-        let adj = |v: Vertex| csr.edge_ids(v).iter().map(move |&id| g.edge(id as usize));
-        for v in 0..g.vertex_count() as Vertex {
+        for v in 0..m.vertex_count() as Vertex {
             let cached = self.gains[v as usize];
             assert_eq!(
                 cached,
-                self.start_gain(&adj, m, max_len, v),
+                self.start_gain(incident, m, max_len, v),
                 "cached gains are current"
             );
         }
@@ -748,7 +759,7 @@ impl AugSearcher {
     /// rest.
     #[inline(never)]
     #[cfg_attr(not(test), allow(unused_variables))]
-    fn offer(&mut self, m: &Matching, gain: i128, branch: Branch, cycle: bool) {
+    fn offer(&mut self, m: &Matching, gain: i128, branch: Branch) {
         if gain == self.best_gain {
             self.candidate.of(m, &self.walk);
             if !self.best_known {
@@ -773,7 +784,7 @@ impl AugSearcher {
         self.best_walk.extend_from_slice(rest);
         #[cfg(test)]
         {
-            self.winner = (branch, cycle);
+            self.winner = branch;
         }
     }
 
@@ -808,25 +819,6 @@ impl AugSearcher {
                 }
             }
             let next = e.other(cur);
-            if next == start && self.walk.len() >= 2 {
-                // closing a cycle: alternation must hold around the joint
-                // too
-                if !SEEDED || branch != Branch::Extension {
-                    let first_in_m = m.contains(&self.walk[0]);
-                    // both endpoints are already on the walk: the closing
-                    // edge changes only the added weight
-                    let gain = added + if in_m { 0 } else { e.weight as i128 } - removed;
-                    if in_m != first_in_m
-                        && (self.walk.len() + 1).is_multiple_of(2)
-                        && self.offered(gain)
-                    {
-                        self.walk.push(e);
-                        self.offer(m, gain, branch, true);
-                        self.walk.pop();
-                    }
-                }
-                continue;
-            }
             if self.scratch.visited.contains(next) {
                 continue;
             }
@@ -843,7 +835,7 @@ impl AugSearcher {
             // every prefix is itself a valid alternating path component
             let gain = added - removed;
             if self.offered(gain) {
-                self.offer(m, gain, branch, false);
+                self.offer(m, gain, branch);
             }
             // a seed's walk that leaves along its matched edge is a prefix
             let branch = if SEEDED && self.walk.len() == 1 && in_m {
@@ -959,11 +951,13 @@ mod tests {
     fn finds_augmenting_cycle() {
         let (g, m) = generators::four_cycle_3434();
         // the augmenting 4-cycle gains 2; with matching-neighbourhood
-        // semantics (Definition 4.4) the same augmentation is also
-        // expressible as the 3-edge alternating path that drops one matched
-        // edge into the neighbourhood of both endpoints
-        let aug = best_augmentation(&g, &m, 4).unwrap();
+        // semantics (Definition 4.4) the same augmentation is the 3-edge
+        // alternating path that drops one matched edge into the
+        // neighbourhood of both endpoints, which is what the search finds
+        let mut searcher = AugSearcher::new();
+        let aug = searcher.best_augmentation(&g, &m, 4).unwrap();
         assert_eq!(aug.gain(), 2);
+        assert_eq!(searcher.best_walk.len(), 3, "the path, not the cycle");
         let aug3 = best_augmentation(&g, &m, 3).unwrap();
         assert_eq!(aug3.gain(), 2);
         // with at most 2 edges nothing improves the perfect matching
@@ -1134,6 +1128,12 @@ mod tests {
         Graph::from_edges(g.vertex_count(), edges)
     }
 
+    /// The edges at `v` as stored in `g`: the adjacency the in-place
+    /// scopes read.
+    fn incident(g: &Graph, v: Vertex) -> impl Iterator<Item = Edge> + '_ {
+        g.incident(v).map(|(_, e)| e)
+    }
+
     /// Edges as their sorted (endpoint pair, weight) keys.
     fn keys(edges: &[Edge]) -> Vec<Key> {
         let mut keys: Vec<Key> = edges.iter().map(|e| (e.key(), e.weight)).collect();
@@ -1161,7 +1161,11 @@ mod tests {
                 let mut expect = start.clone();
                 let k = naive_converge(&g, &mut expect, max_len);
                 let mut got = start.clone();
-                assert_eq!(searcher.converge(&g, &mut got, max_len), k, "trial {trial}");
+                assert_eq!(
+                    searcher.converge(&mut got, max_len, |v| incident(&g, v)),
+                    k,
+                    "trial {trial}"
+                );
                 // `Matching` equality compares each vertex's edge as
                 // stored, orientation included
                 assert_eq!(got, expect, "trial {trial}, max_len {max_len}");
@@ -1195,7 +1199,11 @@ mod tests {
                 let mut expect = start.clone();
                 let k = naive_converge(&g, &mut expect, max_len);
                 let mut got = start.clone();
-                assert_eq!(searcher.converge(&g, &mut got, max_len), k, "seed {seed}");
+                assert_eq!(
+                    searcher.converge(&mut got, max_len, |v| incident(&g, v)),
+                    k,
+                    "seed {seed}"
+                );
                 assert_eq!(got, expect, "seed {seed}, max_len {max_len}");
                 total += k;
             }
@@ -1245,8 +1253,8 @@ mod tests {
                 assert_eq!(keys(&r1), keys(&r2), "trial {trial}: removed edges differ");
                 found += usize::from(got.is_some());
                 let (mut mg, mut mh) = (start.clone(), start.clone());
-                let k = searcher.converge(&g, &mut mg, max_len);
-                assert_eq!(searcher.converge(&h, &mut mh, max_len), k);
+                let k = searcher.converge(&mut mg, max_len, |v| incident(&g, v));
+                assert_eq!(searcher.converge(&mut mh, max_len, |v| incident(&h, v)), k);
                 assert_eq!(mg, mh, "trial {trial}, max_len {max_len}: converge differs");
             }
         }
@@ -1265,16 +1273,15 @@ mod tests {
         let (mut sa, mut sr, mut fa, mut fr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut found = 0;
         // how often the winner came from a prefix's extension (a seed
-        // inside the walk) and from a cycle closed at a seed
-        let (mut extensions, mut cycles) = (0, 0);
+        // inside the walk)
+        let mut extensions = 0;
         for trial in 0..6000 {
             let n = rng.gen_range(6..14);
             let edges = rng.gen_range(n..4 * n);
             let mut g = random_multigraph(&mut rng, n, edges);
-            // only max_len 5 has room for a cycle
             let max_len = [1usize, 3, 5, 5, 5, 5][trial % 6];
             let mut m = Matching::new(n);
-            searcher.converge(&g, &mut m, max_len);
+            searcher.converge(&mut m, max_len, |v| incident(&g, v));
             // perturb at random seeds: only walks through them can turn
             // positive, which is the seeded search's precondition
             let mut seeds: Vec<Vertex> = Vec::new();
@@ -1309,11 +1316,15 @@ mod tests {
             // through its CSR; fix-up: search, apply, and seed everything
             // the winner touched
             let h = shuffled(&mut rng, &g);
-            let csr = h.csr();
-            let incident = |v| csr.edge_ids(v).iter().map(|&id| h.edge(id as usize));
             loop {
-                let seeded = searcher
-                    .best_augmentation_through(&m, max_len, &seeds, incident, &mut sa, &mut sr);
+                let seeded = searcher.best_augmentation_through(
+                    &m,
+                    max_len,
+                    &seeds,
+                    |v| incident(&h, v),
+                    &mut sa,
+                    &mut sr,
+                );
                 let winner = searcher.winner;
                 let full = searcher.best_augmentation_into(&g, &m, max_len, &mut fa, &mut fr);
                 assert_eq!(seeded, full, "trial {trial}: gains differ");
@@ -1323,8 +1334,7 @@ mod tests {
                     break;
                 }
                 found += 1;
-                extensions += usize::from(winner.0 == Branch::Extension);
-                cycles += usize::from(winner.1);
+                extensions += usize::from(winner == Branch::Extension);
                 for e in &sr {
                     m.remove_pair(e.u, e.v).unwrap();
                 }
@@ -1341,11 +1351,7 @@ mod tests {
         );
         assert!(
             extensions > 100,
-            "prefix extensions must produce winners ({extensions} of {found}, {cycles} cycles)"
-        );
-        assert!(
-            cycles > 100,
-            "cycles must produce winners ({cycles} of {found}, {extensions} extensions)"
+            "prefix extensions must produce winners ({extensions} of {found})"
         );
     }
 

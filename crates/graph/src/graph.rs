@@ -42,8 +42,8 @@ pub struct Graph {
     csr: OnceLock<CsrView>,
     /// The most recently invalidated CSR view, kept so the next build can
     /// reuse its arrays instead of allocating (mutation-heavy reuse
-    /// cycles, e.g. the dynamic engine's whole-graph restores, stay
-    /// allocation-free at steady state). Behind a `Mutex` only because
+    /// cycles through [`Graph::reset`] stay allocation-free at steady
+    /// state). Behind a `Mutex` only because
     /// [`Graph::csr`] recycles it from `&self`; the lock is uncontended.
     csr_spare: Mutex<Option<CsrView>>,
     /// How many times the CSR view has been (re)built — real work the
@@ -128,12 +128,9 @@ impl Graph {
     }
 
     /// Repurposes this graph as an empty graph on `n` vertices, keeping
-    /// every backing allocation (edge list and recycled CSR arrays).
-    ///
-    /// This is the reuse primitive behind the dynamic engine's restore
-    /// copies and rebuild snapshots: one persistent `Graph` is
-    /// reset and refilled per call, so the hot path never allocates once
-    /// the buffers have grown to their steady-state size.
+    /// every backing allocation (edge list and recycled CSR arrays): one
+    /// persistent `Graph` reset and refilled per call never allocates
+    /// once the buffers have grown to their steady-state size.
     pub fn reset(&mut self, n: usize) {
         self.n = n;
         self.edges.clear();

@@ -167,8 +167,7 @@ impl Matching {
     }
 
     /// Empties the matching and re-sizes it to `n` vertices, keeping the
-    /// backing allocation — the reuse primitive behind the dynamic
-    /// engine's per-repair sub-matchings.
+    /// backing allocation.
     pub fn reset(&mut self, n: usize) {
         self.mate_edge.clear();
         self.mate_edge.resize(n, None);
@@ -178,8 +177,8 @@ impl Matching {
 
     /// Overwrites this matching with a copy of `other`, reusing the
     /// backing allocation (unlike `clone`, no fresh buffer is built —
-    /// the dynamic engine refreshes its pre-epoch snapshot this way at
-    /// steady state).
+    /// the dynamic engine keeps the matching a global restore started
+    /// from this way at steady state).
     pub fn copy_from(&mut self, other: &Matching) {
         self.mate_edge.clear();
         self.mate_edge.extend_from_slice(&other.mate_edge);

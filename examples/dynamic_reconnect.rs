@@ -34,7 +34,7 @@ fn main() {
     let n = drivers + riders;
     let mut rng = StdRng::seed_from_u64(2026);
 
-    let mut eng = DynamicMatcher::new(n, DynamicConfig::default().with_seed(7));
+    let mut eng = DynamicMatcher::new(n, DynamicConfig::default());
     let mut free_rider_slots: Vec<Vertex> = (drivers as Vertex..n as Vertex).collect();
     let mut sessions: Vec<Session> = Vec::new();
 

@@ -65,8 +65,7 @@ fn main() {
         "ops", "updates/s", "p50 µs", "p99 µs", "value", "recourse/op"
     );
 
-    let mut eng = ShardedMatcher::new(n, DynamicConfig::default().with_seed(7), shards)
-        .with_batch_size(batch);
+    let mut eng = ShardedMatcher::new(n, DynamicConfig::default(), shards).with_batch_size(batch);
     if chaos {
         eng.install_chaos(
             ChaosConfig::new()
