@@ -87,19 +87,12 @@ pub struct SolveRequest {
     /// default 3 backs the dynamic solvers' declared ½ floor. Ignored by
     /// non-dynamic solvers.
     pub aug_depth: usize,
-    /// Updates per rebuild epoch of the dynamic engines (0 = pure
-    /// incremental repair, never rebuild; at most [`MAX_BUDGET`]). An
-    /// epoch restores the bounded-augmentation invariant over the whole
-    /// live graph, warm from the maintained matching: under the eager
-    /// repair it only re-checks the invariant, under a deferring policy it
-    /// also settles the pending repairs. Ignored by non-dynamic solvers.
-    pub rebuild_threshold: usize,
     /// Vertex-partitioned shards for the `dynamic-sharded` solver: `1` =
-    /// a single shard (sequential speculation), `0` = one shard per
-    /// available core, at most [`MAX_THREADS`]. The sharded engine's
-    /// determinism contract mirrors `threads`: with a fixed seed the
-    /// committed matching is bit-identical to the single-shard engine for
-    /// every shard count. Ignored by non-sharded solvers.
+    /// a single shard, `0` = one shard per available core, at most
+    /// [`MAX_THREADS`]. The sharded engine's determinism contract mirrors
+    /// `threads`: the committed matching is bit-identical to the
+    /// single-shard engine for every shard count. Ignored by non-sharded
+    /// solvers.
     pub shards: usize,
     /// Maximum steps per repair walk of the `dynamic-randomwalk` solver
     /// (must lie in `1..=`[`MAX_WALK_LEN`]). Longer walks can discover
@@ -140,7 +133,6 @@ impl Default for SolveRequest {
             pass_budget: 8,
             threads: 1,
             aug_depth: 3,
-            rebuild_threshold: 0,
             shards: 1,
             walk_len: 8,
             work_budget: 4,
@@ -210,13 +202,6 @@ impl SolveRequest {
     /// `1..=`[`MAX_AUG_DEPTH`]; see [`SolveRequest::aug_depth`]).
     pub fn with_aug_depth(mut self, aug_depth: usize) -> Self {
         self.aug_depth = aug_depth;
-        self
-    }
-
-    /// Sets the dynamic rebuild threshold (0 = never rebuild; see
-    /// [`SolveRequest::rebuild_threshold`]).
-    pub fn with_rebuild_threshold(mut self, rebuild_threshold: usize) -> Self {
-        self.rebuild_threshold = rebuild_threshold;
         self
     }
 
@@ -328,15 +313,6 @@ impl SolveRequest {
                 reason: format!(
                     "must be at most {MAX_THREADS} (0 = one per available core), got {}",
                     self.shards
-                ),
-            });
-        }
-        if self.rebuild_threshold > MAX_BUDGET {
-            return Err(SolveError::InvalidConfig {
-                field: "rebuild_threshold",
-                reason: format!(
-                    "must be at most {MAX_BUDGET} (0 = never rebuild), got {}",
-                    self.rebuild_threshold
                 ),
             });
         }

@@ -15,8 +15,8 @@
 //! single-edge local dominance instead.
 //!
 //! Every adapter reports through one assembly path (`report`), so all of
-//! them carry the same seven-key telemetry prefix and cross-solver
-//! tooling can diff recourse and repair work without per-solver cases.
+//! them carry the same six-key telemetry prefix and cross-solver tooling
+//! can diff recourse and repair work without per-solver cases.
 
 use std::time::{Duration, Instant};
 
@@ -89,7 +89,6 @@ fn batch_error(e: BatchError) -> SolveError {
 fn dynamic_cfg(request: &SolveRequest) -> DynamicConfig {
     DynamicConfig::default()
         .with_max_len(request.aug_depth)
-        .with_rebuild_threshold(request.rebuild_threshold)
         .with_threads(request.threads)
 }
 
@@ -142,12 +141,12 @@ fn replay<E: UpdateEngine>(
 /// The shared report assembly. Every dynamic solver reports the same
 /// telemetry prefix, in this pinned order: `updates_applied`,
 /// `recourse_total`, `updates_per_sec`, `augmentations_applied`,
-/// `rebuilds`, `steals`, `scratch_high_water`. Engines without a given
-/// facility report its honest zero (no dynamic engine has a worker pool,
-/// so `steals` is 0; the walk engine never rebuilds) rather than omitting
-/// the key —
-/// cross-solver tooling diffs these columns positionally. The solver's
-/// `specific` extras follow the prefix.
+/// `steals`, `scratch_high_water`. Engines without a given facility
+/// report its honest zero (no dynamic engine has a worker pool, so
+/// `steals` is 0) rather than omitting the key — cross-solver tooling
+/// diffs these columns positionally. The solver's `specific` extras
+/// follow the prefix. `Telemetry::rounds` stays 0: a dynamic engine runs
+/// no outer rounds.
 fn report(
     name: &'static str,
     request: &SolveRequest,
@@ -167,13 +166,11 @@ fn report(
             "augmentations_applied",
             counters.augmentations_applied.to_string(),
         ),
-        ("rebuilds", counters.rebuilds.to_string()),
         ("steals", steals.to_string()),
         ("scratch_high_water", scratch_high_water.to_string()),
     ];
     extras.extend(specific);
     let telemetry = Telemetry {
-        rounds: counters.rebuilds as usize,
         peak_stored_edges: run.peak_live + engine.matching().len(),
         wall,
         extras,
@@ -247,9 +244,8 @@ mod tests {
 }
 
 /// The incremental update-stream engine: bounded-depth augmentation
-/// repair around each update, with optional rebuild epochs
-/// ([`SolveRequest::rebuild_threshold`]) that restore the invariant over
-/// the whole live graph, in place.
+/// repair around each update, which keeps the invariant after every
+/// update of the stream.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DynamicWgtAug;
 

@@ -159,9 +159,9 @@ fn mpc_mcm_facade_solver_identical_across_thread_counts() {
 
 #[test]
 fn dynamic_engine_identical_across_thread_counts() {
-    // the dynamic-wgtaug solver with rebuild epochs enabled (the only
-    // layer of the engine that touches the pool): maintained matching,
-    // value, and recourse counters must be bit-identical for any threads
+    // the dynamic-wgtaug solver accepts the knob but has no parallel
+    // layer: maintained matching, value, and recourse counters must be
+    // bit-identical for any threads
     use wmatch_api::UpdateOp;
     let mut rng = StdRng::seed_from_u64(505);
     let n = 24u32;
@@ -187,15 +187,11 @@ fn dynamic_engine_identical_across_thread_counts() {
         solve(
             "dynamic-wgtaug",
             &inst,
-            &SolveRequest::new()
-                .with_seed(9)
-                .with_threads(threads)
-                .with_rebuild_threshold(25),
+            &SolveRequest::new().with_seed(9).with_threads(threads),
         )
         .expect("dynamic solver")
     };
     let want = run(1);
-    assert_eq!(want.telemetry.rounds, 4, "rebuild epochs must have fired");
     for threads in THREAD_COUNTS {
         let got = run(threads);
         assert_eq!(
@@ -204,12 +200,7 @@ fn dynamic_engine_identical_across_thread_counts() {
             "dynamic threads {threads}"
         );
         assert_eq!(want.value, got.value, "dynamic threads {threads}");
-        for key in [
-            "updates_applied",
-            "recourse_total",
-            "augmentations_applied",
-            "rebuilds",
-        ] {
+        for key in ["updates_applied", "recourse_total", "augmentations_applied"] {
             assert_eq!(
                 want.telemetry.extra(key),
                 got.telemetry.extra(key),
@@ -248,7 +239,7 @@ fn competitor_solvers_identical_across_thread_counts() {
     // the shootout competitors share the determinism contract: with a
     // fixed seed the reported matching and the repair counters are
     // bit-identical for any threads value (no dynamic engine has a
-    // parallel layer, rebuild epochs included)
+    // parallel layer)
     let inst = Instance::dynamic(Graph::new(24), churn_ops(24, 120, 505));
     for solver in ["dynamic-randomwalk", "dynamic-lazy", "dynamic-stale"] {
         let run = |threads: usize| {
@@ -258,7 +249,6 @@ fn competitor_solvers_identical_across_thread_counts() {
                 &SolveRequest::new()
                     .with_seed(9)
                     .with_threads(threads)
-                    .with_rebuild_threshold(25)
                     .with_work_budget(2)
                     .with_staleness_bound(7),
             )
@@ -273,12 +263,7 @@ fn competitor_solvers_identical_across_thread_counts() {
                 "{solver} threads {threads}"
             );
             assert_eq!(want.value, got.value, "{solver} threads {threads}");
-            for key in [
-                "updates_applied",
-                "recourse_total",
-                "augmentations_applied",
-                "rebuilds",
-            ] {
+            for key in ["updates_applied", "recourse_total", "augmentations_applied"] {
                 assert_eq!(
                     want.telemetry.extra(key),
                     got.telemetry.extra(key),
@@ -371,7 +356,6 @@ proptest! {
                     &SolveRequest::new()
                         .with_seed(solver_seed)
                         .with_threads(threads)
-                        .with_rebuild_threshold(15)
                         .with_work_budget(1)
                         .with_staleness_bound(5),
                 )

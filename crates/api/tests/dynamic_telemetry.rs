@@ -1,8 +1,8 @@
 //! The dynamic solvers' telemetry contract: every engine behind the
-//! facade reports the same seven-key extras prefix, in the same order —
+//! facade reports the same six-key extras prefix, in the same order —
 //! `updates_applied`, `recourse_total`, `updates_per_sec`,
-//! `augmentations_applied`, `rebuilds`, `steals`, `scratch_high_water` —
-//! with solver-specific extras only *after* it. Cross-solver tooling
+//! `augmentations_applied`, `steals`, `scratch_high_water` — with
+//! solver-specific extras only *after* it. Cross-solver tooling
 //! (the shootout bench, the memory experiments) diffs these columns
 //! positionally, so a missing key is a schema break, not a style choice.
 //! (The recompute baseline historically omitted the pool keys — the gap
@@ -15,12 +15,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The pinned prefix, in order.
-const COMMON_KEYS: [&str; 7] = [
+const COMMON_KEYS: [&str; 6] = [
     "updates_applied",
     "recourse_total",
     "updates_per_sec",
     "augmentations_applied",
-    "rebuilds",
     "steals",
     "scratch_high_water",
 ];
@@ -94,9 +93,6 @@ fn common_prefix_values_are_parseable_and_consistent() {
         };
         assert_eq!(int_of("updates_applied"), 80, "{solver}: whole stream");
         assert!(int_of("recourse_total") > 0, "{solver}: churn happened");
-        // rebuilds are off by default; the walk engine and baseline never
-        // rebuild at all
-        assert_eq!(int_of("rebuilds"), 0, "{solver}");
         // sequential run: nothing to steal anywhere
         assert_eq!(int_of("steals"), 0, "{solver}");
         let _ = int_of("scratch_high_water"); // parseable is the contract

@@ -292,7 +292,7 @@ fn sharded_solver_matches_the_sequential_dynamic_engine() {
         }
     }
     let inst = Instance::dynamic(Graph::new(g.vertex_count()), ops);
-    let base_req = SolveRequest::new().with_seed(9).with_rebuild_threshold(25);
+    let base_req = SolveRequest::new().with_seed(9);
     let want = solver("dynamic-wgtaug")
         .unwrap()
         .solve(&inst, &base_req)
@@ -308,7 +308,7 @@ fn sharded_solver_matches_the_sequential_dynamic_engine() {
             "shards = {shards}"
         );
         assert_eq!(want.value, got.value, "shards = {shards}");
-        for key in ["updates_applied", "recourse_total", "rebuilds"] {
+        for key in ["updates_applied", "recourse_total", "augmentations_applied"] {
             assert_eq!(
                 want.telemetry.extra(key),
                 got.telemetry.extra(key),

@@ -285,22 +285,6 @@ fn aug_depth_out_of_range_rejected() {
 }
 
 #[test]
-fn rebuild_threshold_above_budget_rejected() {
-    assert_invalid(
-        SolveRequest::new().with_rebuild_threshold(MAX_BUDGET + 1),
-        "rebuild_threshold",
-    );
-    assert!(SolveRequest::new()
-        .with_rebuild_threshold(0)
-        .validate()
-        .is_ok());
-    assert!(SolveRequest::new()
-        .with_rebuild_threshold(MAX_BUDGET)
-        .validate()
-        .is_ok());
-}
-
-#[test]
 fn shards_overflow_rejected() {
     assert_invalid(SolveRequest::new().with_shards(MAX_THREADS + 1), "shards");
     assert_invalid(SolveRequest::new().with_shards(usize::MAX), "shards");

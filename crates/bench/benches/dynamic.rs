@@ -34,28 +34,6 @@ fn bench_engine_replay(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rebuild_epochs(c: &mut Criterion) {
-    // the rebuild-epoch configuration: same replay, a periodic global
-    // restore of the invariant folded in
-    let mut group = c.benchmark_group("dynamic/engine_replay_rebuild");
-    group.sample_size(10);
-    let w = DynamicFamily::HeavyChurn.build(1_000, 2_000, 17);
-    group.bench_with_input(
-        BenchmarkId::from_parameter("heavy-churn_n1000"),
-        &w,
-        |b, w| {
-            b.iter(|| {
-                let cfg = DynamicConfig::default().with_rebuild_threshold(500);
-                let mut eng =
-                    DynamicMatcher::from_graph(&w.initial, cfg).expect("well-formed workload");
-                eng.apply_all(&w.ops).expect("well-formed workload");
-                eng.matching().weight()
-            })
-        },
-    );
-    group.finish();
-}
-
 fn bench_recompute_baseline(c: &mut Criterion) {
     let mut group = c.benchmark_group("dynamic/recompute_baseline");
     group.sample_size(10);
@@ -76,10 +54,5 @@ fn bench_recompute_baseline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_engine_replay,
-    bench_rebuild_epochs,
-    bench_recompute_baseline
-);
+criterion_group!(benches, bench_engine_replay, bench_recompute_baseline);
 criterion_main!(benches);

@@ -13,7 +13,7 @@
 //!    (a twin injector predicts exactly which ops were poisoned);
 //!    bit-flipped matching entries trip the invariant sentinel, and
 //!    healing goes through WAL recovery (bit-identical) or a warm
-//!    rebuild epoch (re-certified floor).
+//!    global restore (re-certified floor).
 //! 2. **Recovery latency** — crash the engine (`simulate_crash`) at
 //!    several WAL snapshot cadences and time `recover()`; recovery must
 //!    reproduce the pre-crash state bit-for-bit.
@@ -262,7 +262,7 @@ fn grid_bitflip_wal(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
 }
 
 /// Fault class 3 — bit flips without a WAL: the sentinel quarantines and
-/// heals via a warm rebuild epoch; the healed matching must re-certify
+/// heals via a warm global restore; the healed matching must re-certify
 /// the Fact 1.3 floor against an exact blossom solve.
 fn grid_bitflip_rebuild(n: usize, ops: &[UpdateOp]) -> FaultGridRow {
     let cfg = DynamicConfig::default();

@@ -1,6 +1,6 @@
 //! The dynamic-matching shootout: every dynamic solver in the registry —
-//! the incremental engine (with and without rebuild epochs), the
-//! recompute-from-scratch baseline, and the competitor solvers
+//! the incremental engine, the recompute-from-scratch baseline, and the
+//! competitor solvers
 //! (`dynamic-randomwalk`, `dynamic-lazy`, `dynamic-stale`) — replayed
 //! over every dynamic workload family (the E11 trio plus the marketplace
 //! stream and the E13 adversarial families).
@@ -21,9 +21,9 @@
 //! than extrapolate.
 //!
 //! Before timing, the suite asserts on each workload that the `threads`
-//! knob does not change what the engine commits (threads 1 vs 4, with
-//! rebuild epochs enabled): the engine has no parallel layer, and a
-//! throughput number for a nondeterministic result would be meaningless.
+//! knob does not change what the engine commits (threads 1 vs 4): the
+//! engine has no parallel layer, and a throughput number for a
+//! nondeterministic result would be meaningless.
 //!
 //! With `WMATCH_SHOOTOUT_GUARD=1` in the environment (set in CI), the
 //! run additionally fails if any family is missing a solver row or any
@@ -39,11 +39,10 @@ use crate::families::{self, AdversarialFamily, DynamicFamily, DynamicWorkload};
 /// quartiles.
 pub const REPLAYS: usize = 5;
 
-/// The solver labels every family must produce, in row order. The
-/// `+rebuild` row is `dynamic-wgtaug` with rebuild epochs enabled.
-const EXPECTED_LABELS: [&str; 6] = [
+/// The solvers every family must produce a row for, in row order (E11
+/// certifies the same five).
+pub(crate) const EXPECTED_LABELS: [&str; 5] = [
     "dynamic-wgtaug",
-    "dynamic-wgtaug+rebuild",
     "dynamic-rebuild",
     "dynamic-randomwalk",
     "dynamic-lazy",
@@ -56,8 +55,8 @@ pub struct DynamicRow {
     /// Workload family (`sliding-window`, `heavy-churn`,
     /// `delete-matching`, `marketplace`, or an adversarial family).
     pub family: &'static str,
-    /// Solver configuration (one of the six `EXPECTED_LABELS` rows).
-    pub solver: String,
+    /// Registry name of the solver (one of `EXPECTED_LABELS`).
+    pub solver: &'static str,
     /// Vertex count.
     pub n: usize,
     /// Updates replayed by this row.
@@ -86,7 +85,6 @@ pub struct DynamicRow {
 fn measure(
     family: &'static str,
     solver_name: &'static str,
-    label: String,
     inst: &Instance,
     req: &SolveRequest,
     n: usize,
@@ -117,12 +115,12 @@ fn measure(
         assert_eq!(
             again.matching.to_edges(),
             first.matching.to_edges(),
-            "{family}/{label}: replay {i} committed another matching"
+            "{family}/{solver_name}: replay {i} committed another matching"
         );
         assert_eq!(
             recourse(&again),
             total,
-            "{family}/{label}: replay {i} reported another recourse"
+            "{family}/{solver_name}: replay {i} reported another recourse"
         );
         rates.push(rate(&again));
     }
@@ -137,7 +135,7 @@ fn measure(
         .approx_floor;
     DynamicRow {
         family,
-        solver: label,
+        solver: solver_name,
         n,
         ops,
         updates_per_sec: quantile(&rates, 0.5),
@@ -189,82 +187,29 @@ pub fn run_suite(quick: bool) -> Vec<DynamicRow> {
     let mut rows = Vec::new();
     for (name, w) in workloads(n, ops) {
         let full = Instance::dynamic(w.initial.clone(), w.ops.clone());
-        let prefix = Instance::dynamic(
-            w.initial.clone(),
-            w.ops[..baseline_ops.min(w.ops.len())].to_vec(),
-        );
+        let prefix_len = baseline_ops.min(w.ops.len());
+        let prefix = Instance::dynamic(w.initial.clone(), w.ops[..prefix_len].to_vec());
         let req = SolveRequest::new().with_seed(5);
-        let rebuild_req = req.clone().with_rebuild_threshold(ops / 8);
 
         // determinism first: the `threads` knob must not change the
         // committed matching (the engine has no parallel layer)
-        let a = solve("dynamic-wgtaug", &full, &rebuild_req).expect("threads=1 replay");
-        let b = solve(
-            "dynamic-wgtaug",
-            &full,
-            &rebuild_req.clone().with_threads(4),
-        )
-        .expect("threads=4 replay");
+        let a = solve("dynamic-wgtaug", &full, &req).expect("threads=1 replay");
+        let b =
+            solve("dynamic-wgtaug", &full, &req.clone().with_threads(4)).expect("threads=4 replay");
         assert_eq!(
             a.matching.to_edges(),
             b.matching.to_edges(),
             "{name}: dynamic-wgtaug diverged across thread counts"
         );
 
-        rows.push(measure(
-            name,
-            "dynamic-wgtaug",
-            "dynamic-wgtaug".into(),
-            &full,
-            &req,
-            n,
-            w.ops.len(),
-        ));
-        rows.push(measure(
-            name,
-            "dynamic-wgtaug",
-            "dynamic-wgtaug+rebuild".into(),
-            &full,
-            &rebuild_req,
-            n,
-            w.ops.len(),
-        ));
-        rows.push(measure(
-            name,
-            "dynamic-rebuild",
-            "dynamic-rebuild".into(),
-            &prefix,
-            &req,
-            n,
-            baseline_ops.min(w.ops.len()),
-        ));
-        rows.push(measure(
-            name,
-            "dynamic-randomwalk",
-            "dynamic-randomwalk".into(),
-            &full,
-            &req,
-            n,
-            w.ops.len(),
-        ));
-        rows.push(measure(
-            name,
-            "dynamic-lazy",
-            "dynamic-lazy".into(),
-            &full,
-            &req,
-            n,
-            w.ops.len(),
-        ));
-        rows.push(measure(
-            name,
-            "dynamic-stale",
-            "dynamic-stale".into(),
-            &full,
-            &req,
-            n,
-            w.ops.len(),
-        ));
+        for solver_name in EXPECTED_LABELS {
+            let (inst, replayed) = if solver_name == "dynamic-rebuild" {
+                (&prefix, prefix_len)
+            } else {
+                (&full, w.ops.len())
+            };
+            rows.push(measure(name, solver_name, inst, &req, n, replayed));
+        }
     }
     rows
 }
@@ -299,7 +244,7 @@ fn guard(rows: &[DynamicRow]) {
 pub fn to_json(rows: &[DynamicRow], quick: bool) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"hardware_threads\": {},\n  \"unit\": \"updates_per_sec\",\n  \"replays\": {REPLAYS},\n  \"determinism\": \"dynamic-wgtaug asserted bit-identical across threads 1 and 4 with rebuild epochs enabled (the engine has no parallel layer; the knob must not change committed state); every row replayed {REPLAYS} times, each replay asserted to commit the same matching and recourse\",\n  \"timing\": \"updates_per_sec is the median replay's throughput, updates_per_sec_q1/q3 the quartiles (linear interpolation); quality columns come from the first replay\",\n  \"guard\": \"WMATCH_SHOOTOUT_GUARD=1 fails the run if any solver row is missing or certifies below its declared floor\",\n  \"note\": \"dynamic-rebuild recomputes from scratch per update and is measured on a prefix of the same sequence; compare updates_per_sec, not totals. oracle_ratio is certified on the final live graph by a from-scratch exact solve\",\n  \"benches\": [\n",
+        "  \"mode\": \"{}\",\n  \"hardware_threads\": {},\n  \"unit\": \"updates_per_sec\",\n  \"replays\": {REPLAYS},\n  \"determinism\": \"dynamic-wgtaug asserted bit-identical across threads 1 and 4 (the engine has no parallel layer; the knob must not change committed state); every row replayed {REPLAYS} times, each replay asserted to commit the same matching and recourse\",\n  \"timing\": \"updates_per_sec is the median replay's throughput, updates_per_sec_q1/q3 the quartiles (linear interpolation); quality columns come from the first replay\",\n  \"guard\": \"WMATCH_SHOOTOUT_GUARD=1 fails the run if any solver row is missing or certifies below its declared floor\",\n  \"note\": \"dynamic-rebuild recomputes from scratch per update and is measured on a prefix of the same sequence; compare updates_per_sec, not totals. oracle_ratio is certified on the final live graph by a from-scratch exact solve\",\n  \"benches\": [\n",
         if quick { "quick" } else { "full" },
         crate::serve::hardware_threads(),
     ));
@@ -388,7 +333,7 @@ mod tests {
     fn sample_row() -> DynamicRow {
         DynamicRow {
             family: "sliding-window",
-            solver: "dynamic-wgtaug".into(),
+            solver: "dynamic-wgtaug",
             n: 16,
             ops: 10,
             updates_per_sec: 123.4,
@@ -431,7 +376,6 @@ mod tests {
         let row = measure(
             "sliding-window",
             "dynamic-wgtaug",
-            "dynamic-wgtaug".into(),
             &inst,
             &SolveRequest::new(),
             16,
@@ -450,7 +394,6 @@ mod tests {
             let row = measure(
                 "heavy-churn",
                 name,
-                name.into(),
                 &inst,
                 &SolveRequest::new(),
                 16,
@@ -469,8 +412,8 @@ mod tests {
     fn guard_rejects_missing_rows_and_floor_dips() {
         let ok = EXPECTED_LABELS
             .iter()
-            .map(|l| DynamicRow {
-                solver: (*l).into(),
+            .map(|&solver| DynamicRow {
+                solver,
                 ..sample_row()
             })
             .collect::<Vec<_>>();

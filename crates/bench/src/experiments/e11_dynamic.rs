@@ -8,6 +8,7 @@
 //! (`dynamic-randomwalk`, `dynamic-lazy`, `dynamic-stale`) ride the same
 //! table — the full cross-family shootout lives in `report -- dynamic`.
 
+use crate::dynamic::EXPECTED_LABELS;
 use crate::families::DynamicFamily;
 use crate::table::Table;
 use wmatch_api::{solve, Instance, SolveRequest};
@@ -34,42 +35,8 @@ pub fn run(quick: bool) -> String {
     for family in DynamicFamily::all() {
         let w = family.build(n, ops, 11);
         let inst = Instance::dynamic(w.initial.clone(), w.ops.clone());
-        let configs: [(&str, &str, SolveRequest); 6] = [
-            (
-                "dynamic-wgtaug",
-                "dynamic-wgtaug",
-                SolveRequest::new().with_seed(5).with_certify(true),
-            ),
-            (
-                "dynamic-wgtaug",
-                "dynamic-wgtaug+rebuild",
-                SolveRequest::new()
-                    .with_seed(5)
-                    .with_certify(true)
-                    .with_rebuild_threshold(ops / 8),
-            ),
-            (
-                "dynamic-rebuild",
-                "dynamic-rebuild",
-                SolveRequest::new().with_seed(5).with_certify(true),
-            ),
-            (
-                "dynamic-randomwalk",
-                "dynamic-randomwalk",
-                SolveRequest::new().with_seed(5).with_certify(true),
-            ),
-            (
-                "dynamic-lazy",
-                "dynamic-lazy",
-                SolveRequest::new().with_seed(5).with_certify(true),
-            ),
-            (
-                "dynamic-stale",
-                "dynamic-stale",
-                SolveRequest::new().with_seed(5).with_certify(true),
-            ),
-        ];
-        for (solver, label, req) in configs {
+        let req = SolveRequest::new().with_seed(5).with_certify(true);
+        for solver in EXPECTED_LABELS {
             let report = solve(solver, &inst, &req).expect("dynamic replay");
             let cert = report.certificate.as_ref().expect("certified request");
             let recourse: f64 = report
@@ -86,7 +53,7 @@ pub fn run(quick: bool) -> String {
                 .to_string();
             t.row(vec![
                 family.name().into(),
-                label.into(),
+                solver.into(),
                 w.ops.len().to_string(),
                 report.value.to_string(),
                 format!("{:.3}", cert.ratio),
@@ -106,9 +73,7 @@ pub fn run(quick: bool) -> String {
         "\nShape: both engines certify the same Fact 1.3 floor on the final graph (the \
          agreement suite additionally enforces it at checkpoints mid-stream), and in \
          practice both sit far above it (≈0.95+). The incremental engine pays a fraction \
-         of a matching edge changed per update, the baseline whole-matching churn; rebuild \
-         epochs cost throughput and only help when local repair has drifted below what the \
-         class sweep can find — on these sizes the invariant alone already saturates it. \
+         of a matching edge changed per update, the baseline whole-matching churn. \
          The competitors certify the same floor after their terminal flush: the random \
          walker via local dominance, the lazy and stale engines by settling their deferred \
          repairs before reporting.\n",

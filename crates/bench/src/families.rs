@@ -261,17 +261,23 @@ impl DynamicFamily {
 /// engine hurts, not where it shines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdversarialFamily {
-    /// Weight-class boundary oscillation: a fixed pair set whose weights
-    /// hop back and forth across geometric weight-class boundaries
-    /// (powers of 1 + ε at the engine's default ε = 0.25) every round,
-    /// so rebuild epochs keep reclassifying the same edges and no
-    /// class assignment ever settles. Bipartite by construction (pair
-    /// `i` ↔ `n/2 + i`), so the exact bipartite certifier can ride it.
+    /// Weight-class boundary oscillation: a fixed set of disjoint pairs
+    /// whose weights hop back and forth across geometric weight-class
+    /// boundaries (powers of 1 + ε at ε = 0.25) every round, each hop a
+    /// delete of the pair's matched edge and a reinsert. The dynamic
+    /// engines keep no weight classes, so for them this is matched-edge
+    /// churn at its purest: every update changes the matching (recourse
+    /// 1 per op) while each repair stays inside one isolated pair, and
+    /// the optimum a warm certifier tracks shifts every round. Bipartite
+    /// by construction (pair `i` ↔ `n/2 + i`), so the exact bipartite
+    /// certifier can ride it.
     BoundaryOscillation,
-    /// Hub ball-overlap storm: every update is incident to one of a
-    /// handful of hub vertices, so each batch's repair balls all collide
-    /// and the speculation layer degenerates to one giant overlap group
-    /// — the worst case for parallel ball repair. Bipartite (hubs on the
+    /// Hub storm: every update is incident to one of four hub vertices,
+    /// each holding about `n/8` edges of a sliding window, so every
+    /// repair seeds its search at a high-degree vertex and consecutive
+    /// updates keep re-searching the same dense neighbourhood. At most
+    /// four edges are ever matched, so few updates change the matching
+    /// and nearly all the repair cost is search. Bipartite (hubs on the
     /// left, spokes on the right).
     HubStorm,
     /// Delete-the-matching waves: repeatedly compute a greedy matching

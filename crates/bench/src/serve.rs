@@ -20,10 +20,9 @@
 //! Two guards run **before** any timing, because a throughput number for
 //! a wrong result is meaningless:
 //!
-//! 1. **Determinism** — on a scaled-down stream (with rebuild epochs
-//!    enabled), the full acceptance grid of shard count × thread count ×
-//!    batch size must commit a matching and counters bit-identical to
-//!    the sequential [`DynamicMatcher`].
+//! 1. **Determinism** — on a scaled-down stream, the full acceptance grid
+//!    of shard count × thread count × batch size must commit a matching
+//!    and counters bit-identical to the sequential [`DynamicMatcher`].
 //! 2. **Quality floor** — on an oracle-feasible sub-sample the committed
 //!    matching meets the Fact 1.3 ½ floor against an exact blossom solve
 //!    at every checkpoint; after each timed row the final million-vertex
@@ -93,11 +92,10 @@ pub fn hardware_threads() -> usize {
 /// Asserts the sharded engine's determinism contract on a scaled-down
 /// marketplace stream: the full acceptance grid — shards {1, 4, 8} ×
 /// threads {1, 2, 4, 0} × batch {64, 256, 512} — commits bit-identical
-/// state to the sequential engine, with rebuild epochs enabled so their
-/// global restore is covered too.
+/// state to the sequential engine.
 fn assert_determinism(n: usize, ops: usize) {
     let w = marketplace(n, ops, 0xE12);
-    let cfg = DynamicConfig::default().with_rebuild_threshold(ops / 3);
+    let cfg = DynamicConfig::default();
     let mut seq = DynamicMatcher::new(n, cfg);
     seq.apply_all(&w.ops)
         .expect("generated stream is well-formed");
@@ -266,7 +264,7 @@ pub fn run_suite(quick: bool) -> Vec<ServeRow> {
     } else {
         (1_000_000, 2_000_000, 256)
     };
-    // guard 1: determinism (scaled-down, epochs enabled, full grid)
+    // guard 1: determinism (scaled-down, full grid)
     let (gn, gops) = if quick { (800, 6_000) } else { (2_000, 20_000) };
     assert_determinism(gn, gops);
     // guard 2: the ½ floor against the exact oracle on a feasible
@@ -330,7 +328,7 @@ fn assert_serve_guard(rows: &[ServeRow]) {
 pub fn to_json(rows: &[ServeRow], quick: bool) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"hardware_threads\": {},\n  \"policy\": \"each row is the best of {} full replays (identical committed state per replay; only timing varies)\",\n  \"workload\": \"marketplace (hotspot-skewed sliding-window churn)\",\n  \"unit\": \"updates_per_sec; p50_us/p99_us are batch-amortized per-update ingest latencies\",\n  \"determinism\": \"sharded engine asserted bit-identical to sequential for shards 1/4/8 x threads 1/2/4/0 x batch 64/256/512 (rebuild epochs enabled) before timing; final weight and recourse re-asserted at full scale\",\n  \"floor\": \"Fact 1.3 half floor asserted against the exact blossom oracle at checkpoints of a feasible sub-sample, replayed through the sharded engine\",\n  \"benches\": [\n",
+        "  \"mode\": \"{}\",\n  \"hardware_threads\": {},\n  \"policy\": \"each row is the best of {} full replays (identical committed state per replay; only timing varies)\",\n  \"workload\": \"marketplace (hotspot-skewed sliding-window churn)\",\n  \"unit\": \"updates_per_sec; p50_us/p99_us are batch-amortized per-update ingest latencies\",\n  \"determinism\": \"sharded engine asserted bit-identical to sequential for shards 1/4/8 x threads 1/2/4/0 x batch 64/256/512 before timing; final weight and recourse re-asserted at full scale\",\n  \"floor\": \"Fact 1.3 half floor asserted against the exact blossom oracle at checkpoints of a feasible sub-sample, replayed through the sharded engine\",\n  \"benches\": [\n",
         if quick { "quick" } else { "full" },
         hardware_threads(),
         best_of(quick),

@@ -12,7 +12,7 @@
 //! * **Bit flips** — after a batch commits, one shard's matching entry
 //!   is corrupted (its stored weight no longer matches any live edge).
 //!   The invariant sentinel must catch it, quarantine the shard, and
-//!   heal (WAL recovery or a warm rebuild epoch) instead of serving
+//!   heal (WAL recovery or a warm global restore) instead of serving
 //!   garbage.
 //!
 //! Every decision is keyed by `(seed, stream index)` through a splitmix

@@ -1,6 +1,5 @@
 //! The update-stream engine: bounded-length augmentation repair with
-//! bounded recourse, plus periodic rebuild epochs that re-check the
-//! invariant over the whole graph.
+//! bounded recourse.
 //!
 //! # The invariant
 //!
@@ -39,14 +38,13 @@
 //! [`Scratch`](wmatch_graph::Scratch) arenas — no hashing, no per-update
 //! allocation churn once warmed up.
 //!
-//! Whole-graph restores — the bootstrap ([`static_bounded_matching`]),
-//! the rebuild epochs and the sentinel heal — run
+//! Whole-graph restores — the bootstrap ([`static_bounded_matching`])
+//! and the sentinel's heal without a WAL — run
 //! [`AugSearcher::converge`]: one full scan, then after each applied
 //! augmentation a re-search of only the starts with an alternating walk
-//! of at most `max_len` edges to a vertex whose mate it changed. An epoch
-//! and a heal converge in place on the live graph and matching, and
-//! report their recourse as the diff against the matching they started
-//! from.
+//! of at most `max_len` edges to a vertex whose mate it changed. The heal
+//! converges in place on the live graph and matching, and reports its
+//! recourse as the diff against the matching it started from.
 
 use std::error::Error;
 use std::fmt;
@@ -75,13 +73,6 @@ pub struct DynamicConfig {
     /// update (Fact 1.3); the default 3 gives the ½ floor. Search cost is
     /// exponential in this value — keep it small.
     pub max_len: usize,
-    /// Run a rebuild epoch after this many updates (0 = never): one
-    /// global restore of the bounded-augmentation invariant on the live
-    /// graph, warm from the maintained matching. Under
-    /// [`RepairPolicy::Eager`] the invariant already holds, so an epoch
-    /// only re-checks it; under `Budget` or `Window` it also settles the
-    /// pending repairs.
-    pub rebuild_threshold: usize,
     /// Accepted for the serve path's `threads` knob, but without effect:
     /// the engine has no parallel layer, so every value commits the same
     /// state.
@@ -89,11 +80,10 @@ pub struct DynamicConfig {
 }
 
 impl Default for DynamicConfig {
-    /// `max_len = 3` (the ½ floor), no rebuild epochs, `threads = 1`.
+    /// `max_len = 3` (the ½ floor), `threads = 1`.
     fn default() -> Self {
         DynamicConfig {
             max_len: 3,
-            rebuild_threshold: 0,
             threads: 1,
         }
     }
@@ -108,12 +98,6 @@ impl DynamicConfig {
     /// Sets the maximum augmentation length (edges per component).
     pub fn with_max_len(mut self, max_len: usize) -> Self {
         self.max_len = max_len;
-        self
-    }
-
-    /// Sets the rebuild threshold (updates per epoch; 0 = never).
-    pub fn with_rebuild_threshold(mut self, rebuild_threshold: usize) -> Self {
-        self.rebuild_threshold = rebuild_threshold;
         self
     }
 
@@ -143,12 +127,10 @@ pub struct UpdateStats {
     /// edge by its endpoint pair and weight. An edge swapped out and
     /// back in by intermediate repair steps counts zero: this is the
     /// churn a consumer of the matching actually observes, and the same
-    /// measure [`RecomputeBaseline`] and the rebuild epochs report.
+    /// measure [`RecomputeBaseline`] and the sentinel's heal report.
     pub recourse: u64,
     /// Repair augmentations applied.
     pub augmentations: u64,
-    /// Whether this update triggered a rebuild epoch.
-    pub rebuilt: bool,
 }
 
 /// Lifetime counters of an engine.
@@ -159,12 +141,10 @@ pub struct DynamicCounters {
     pub updates_applied: u64,
     /// Total matching edges changed across all updates (recourse).
     pub recourse_total: u64,
-    /// Repair augmentations applied, those of the rebuild epochs'
-    /// restores included (an epoch's churn is folded into
+    /// Repair augmentations applied, those of the sentinel heal's
+    /// global restores included (a heal's churn is folded into
     /// `recourse_total` as a matching diff).
     pub augmentations_applied: u64,
-    /// Rebuild epochs executed.
-    pub rebuilds: u64,
 }
 
 /// Aggregate outcome of a (possibly partial) update batch.
@@ -179,8 +159,6 @@ pub struct BatchStats {
     pub recourse: u64,
     /// Repair augmentations applied over the batch.
     pub augmentations: u64,
-    /// Rebuild epochs triggered within the batch.
-    pub rebuilds: u64,
 }
 
 impl BatchStats {
@@ -191,7 +169,6 @@ impl BatchStats {
         self.gain += other.gain;
         self.recourse += other.recourse;
         self.augmentations += other.augmentations;
-        self.rebuilds += other.rebuilds;
     }
 
     /// Folds one applied update into the batch totals.
@@ -200,9 +177,6 @@ impl BatchStats {
         self.gain += s.gain;
         self.recourse += s.recourse;
         self.augmentations += s.augmentations;
-        if s.rebuilt {
-            self.rebuilds += 1;
-        }
     }
 }
 
@@ -278,7 +252,8 @@ impl Error for BatchError {
 /// edge), and the same ball-local repair kernel; they differ only in how
 /// much repair an update pays for and when. Once
 /// [`DynamicMatcher::flush`] has run, every policy certifies the same
-/// Fact 1.3 floor.
+/// Fact 1.3 floor. The policy is the engine's one scheduler: no update
+/// count triggers a global pass.
 ///
 /// Set with [`DynamicMatcher::with_policy`]. The sharded engine has no
 /// policy: its batches commit through the eager repair, and its degraded
@@ -349,13 +324,12 @@ pub(crate) struct EngineCore {
     pub cfg: DynamicConfig,
     pub kit: RepairKit,
     pub counters: DynamicCounters,
-    pub updates_since_rebuild: usize,
     /// Deterministic fault injector, test/chaos-bench only (`None` in
     /// production). Installed via `ShardedMatcher::install_chaos`.
     pub chaos: Option<Box<ChaosInjector>>,
     /// Vertices whose repair was deferred — by a deferred update or by a
     /// budget that ran out — drained by [`EngineCore::flush`] or settled
-    /// by a rebuild epoch.
+    /// by the sentinel's heal.
     pub pending: Vec<Vertex>,
     /// Deferred updates since the last flush. While non-zero the
     /// bounded-augmentation invariant is deliberately stale, and the
@@ -375,7 +349,6 @@ impl EngineCore {
             cfg,
             kit: RepairKit::new(),
             counters: DynamicCounters::default(),
-            updates_since_rebuild: 0,
             chaos: None,
             pending: Vec::new(),
             pending_ops: 0,
@@ -385,8 +358,7 @@ impl EngineCore {
     }
 
     /// One update under `policy`: structural change, validity rule, then
-    /// the repair the policy pays for now, counters, and the rebuild
-    /// epoch if one is due.
+    /// the repair the policy pays for now, and counters.
     pub fn apply(
         &mut self,
         op: UpdateOp,
@@ -402,7 +374,6 @@ impl EngineCore {
                     stats.gain += fs.gain;
                     stats.recourse += fs.recourse;
                     stats.augmentations += fs.augmentations;
-                    stats.rebuilt |= fs.rebuilt;
                 }
                 Ok(stats)
             }
@@ -418,32 +389,26 @@ impl EngineCore {
     }
 
     /// One eager update — structural change, local repair, recourse
-    /// accounting, counters, and the rebuild epoch if one is due. The
-    /// sequential engine and every sharded batch commit through it.
+    /// accounting and counters. The sequential engine and every sharded
+    /// batch commit through it.
     pub fn apply_one(&mut self, op: UpdateOp) -> Result<UpdateStats, DynamicError> {
         self.kit.begin_update();
         self.g.apply(op)?;
         let fix = repair_op(&mut self.kit, &self.g, &mut self.m, op, self.cfg.max_len);
-        // net recourse of this update's own repairs, before any epoch
-        // (which reports its churn as a whole-matching diff instead)
-        let mut stats = UpdateStats {
+        let stats = UpdateStats {
             gain: fix.gain,
             recourse: self.kit.net_recourse(),
             augmentations: fix.augmentations,
-            rebuilt: false,
         };
-        self.finish(&mut stats);
+        self.finish(stats);
         Ok(stats)
     }
 
-    /// Counts one applied update and runs the rebuild epoch if due,
-    /// folding the epoch's churn into `stats`. Shared by the eager and the
-    /// budgeted update, so counters and rebuild timing agree bit-for-bit.
-    fn finish(&mut self, stats: &mut UpdateStats) {
+    /// Counts one applied update. Shared by every per-op path, so their
+    /// counters agree bit-for-bit.
+    fn finish(&mut self, stats: UpdateStats) {
         self.counters.updates_applied += 1;
         self.counters.augmentations_applied += stats.augmentations;
-        self.updates_since_rebuild += 1;
-        self.rebuild_if_due(stats);
         self.counters.recourse_total += stats.recourse;
     }
 
@@ -467,13 +432,12 @@ impl EngineCore {
             self.pending.sort_unstable();
             self.pending.dedup();
         }
-        let mut stats = UpdateStats {
+        let stats = UpdateStats {
             gain: gain + fix.gain,
             recourse: self.kit.net_recourse(),
             augmentations: fix.augmentations,
-            rebuilt: false,
         };
-        self.finish(&mut stats);
+        self.finish(stats);
         Ok(stats)
     }
 
@@ -495,55 +459,31 @@ impl EngineCore {
         let (u, v) = op.endpoints();
         self.pending.extend([u, v]);
         self.pending_ops += 1;
-        self.counters.updates_applied += 1;
-        self.counters.recourse_total += stats.recourse;
-        self.updates_since_rebuild += 1;
+        self.finish(stats);
         Ok(stats)
     }
 
-    /// Repairs everything left pending: one fix-up sweep over the pending
-    /// set, then a rebuild epoch if one came due while deferring. Returns
-    /// the aggregate churn of the flush; a no-op (and allocation-free)
-    /// when nothing is pending.
+    /// Repairs everything left pending in one fix-up sweep over the
+    /// pending set. Returns the aggregate churn of the flush; a no-op (and
+    /// allocation-free) when nothing is pending.
     pub fn flush(&mut self) -> UpdateStats {
-        let mut stats = UpdateStats::default();
         if self.pending.is_empty() {
-            return stats;
+            return UpdateStats::default();
         }
         self.flushes += 1;
         self.kit.begin_update();
         self.kit.dirty.clear();
         self.kit.dirty.append(&mut self.pending);
         let fix = self.kit.fix_up(&self.g, &mut self.m, self.cfg.max_len);
-        stats.gain = fix.gain;
-        stats.augmentations = fix.augmentations;
-        stats.recourse = self.kit.net_recourse();
-        self.counters.augmentations_applied += stats.augmentations;
+        let stats = UpdateStats {
+            gain: fix.gain,
+            recourse: self.kit.net_recourse(),
+            augmentations: fix.augmentations,
+        };
         self.pending_ops = 0;
-        self.rebuild_if_due(&mut stats);
+        self.counters.augmentations_applied += stats.augmentations;
         self.counters.recourse_total += stats.recourse;
         stats
-    }
-
-    /// Runs the rebuild epoch once `rebuild_threshold` updates have been
-    /// applied since the last one, folding its churn into `stats`. The
-    /// epoch is a global invariant restore ([`RepairKit::restore`]), so
-    /// it also settles anything pending.
-    fn rebuild_if_due(&mut self, stats: &mut UpdateStats) {
-        if self.cfg.rebuild_threshold == 0
-            || self.updates_since_rebuild < self.cfg.rebuild_threshold
-        {
-            return;
-        }
-        self.counters.rebuilds += 1;
-        self.updates_since_rebuild = 0;
-        let epoch = self.kit.restore(&self.g, &mut self.m, self.cfg.max_len);
-        self.counters.augmentations_applied += epoch.augmentations;
-        stats.recourse += epoch.recourse;
-        stats.gain += epoch.gain;
-        stats.rebuilt = true;
-        self.pending.clear();
-        self.pending_ops = 0;
     }
 }
 
@@ -801,10 +741,9 @@ impl DynamicMatcher {
         self.core.apply(op, self.policy)
     }
 
-    /// Settles any pending repairs now (one unbudgeted fix-up sweep, plus
-    /// a rebuild epoch if one came due while deferring), re-certifying
-    /// the bounded-augmentation invariant. A no-op when nothing is
-    /// pending — always under [`RepairPolicy::Eager`].
+    /// Settles any pending repairs now in one unbudgeted fix-up sweep,
+    /// re-certifying the bounded-augmentation invariant. A no-op when
+    /// nothing is pending — always under [`RepairPolicy::Eager`].
     pub fn flush(&mut self) -> UpdateStats {
         self.core.flush()
     }
@@ -951,7 +890,6 @@ impl RecomputeBaseline {
             gain,
             recourse,
             augmentations: 0,
-            rebuilt: false,
         })
     }
 }
@@ -1136,32 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_epochs_fire_and_preserve_invariant() {
-        // one epoch per `threshold` updates, the update that completes a
-        // window included
-        for (threshold, updates, epochs) in [(16, 48, 3), (4, 4, 1)] {
-            let mut rng = StdRng::seed_from_u64(19);
-            let cfg = DynamicConfig::default().with_rebuild_threshold(threshold);
-            let mut eng = DynamicMatcher::new(12, cfg);
-            for _ in 0..updates {
-                let u = rng.gen_range(0..12u32);
-                let mut v = rng.gen_range(0..12u32);
-                if v == u {
-                    v = (v + 1) % 12;
-                }
-                eng.apply(UpdateOp::insert(u, v, rng.gen_range(1..20u64)))
-                    .unwrap();
-            }
-            assert_eq!(
-                eng.counters().rebuilds,
-                epochs,
-                "one epoch per {threshold} updates"
-            );
-            assert_invariant(&eng);
-        }
-    }
-
-    #[test]
     fn bootstrap_arena_reaches_the_high_water_mark() {
         // `from_graph` converges on a searcher arena sized to the whole
         // graph; telemetry must see it before any update
@@ -1173,33 +1085,6 @@ mod tests {
             "{}",
             eng.scratch_high_water()
         );
-    }
-
-    #[test]
-    fn rebuild_is_bit_identical_across_threads() {
-        for threads in [2usize, 4, 0] {
-            let mut rng = StdRng::seed_from_u64(23);
-            let cfg1 = DynamicConfig::default().with_rebuild_threshold(8);
-            let cfgt = cfg1.with_threads(threads);
-            let mut a = DynamicMatcher::new(16, cfg1);
-            let mut b = DynamicMatcher::new(16, cfgt);
-            for _ in 0..40 {
-                let u = rng.gen_range(0..16u32);
-                let mut v = rng.gen_range(0..16u32);
-                if v == u {
-                    v = (v + 1) % 16;
-                }
-                let op = UpdateOp::insert(u, v, rng.gen_range(1..30u64));
-                let sa = a.apply(op).unwrap();
-                let sb = b.apply(op).unwrap();
-                assert_eq!(sa, sb, "threads = {threads}");
-            }
-            assert_eq!(
-                a.matching().to_edges(),
-                b.matching().to_edges(),
-                "threads = {threads}"
-            );
-        }
     }
 
     #[test]

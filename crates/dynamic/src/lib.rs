@@ -29,10 +29,10 @@
 //! (and the same epoch-stamped [`Scratch`](wmatch_graph::Scratch) arenas)
 //! the offline machinery runs on, so the dynamic and static notions of
 //! "no short augmentation" agree by construction. Whole-graph restores — the
-//! bootstrap, rebuild epochs, the sentinel heal — run its `converge`
-//! loop, which re-searches only the starts with an alternating walk to a
-//! vertex each applied augmentation changed; an epoch and a heal run it
-//! in place on the live graph.
+//! bootstrap and the sentinel heal — run its `converge` loop, which
+//! re-searches only the starts with an alternating walk to a vertex each
+//! applied augmentation changed; the heal runs it in place on the live
+//! graph.
 //!
 //! The off-by-default `lockstep` cargo feature checks every local search
 //! against the full scan of its plain radius-`max_len` ball, and every
@@ -57,17 +57,17 @@
 //! same sequential per-op path as [`DynamicMatcher`] — so it is
 //! bit-identical to it for any shard, thread, or batch count. The
 //! `threads` knob is accepted but decides nothing: the crate has no
-//! parallel layer.
+//! parallel layer. Without a WAL, the sentinel heals by one global
+//! restore of the invariant, warm from the surviving matching, which also
+//! settles any deferred repairs; its recourse is the diff against the
+//! matching it started from.
 //!
-//! Every [`DynamicConfig::rebuild_threshold`] updates, the engine can run
-//! a *rebuild epoch*: a global restore of the invariant, warm from the
-//! maintained matching, whose recourse is the diff against the matching
-//! it started from. Under the eager policy it only re-checks what the
-//! local repairs already keep; under a deferring policy it also settles
-//! the pending repairs. Epochs do not run Algorithm 3's weight-class
-//! sweep: it promises progress only while `w(M) < (1 − ε)·w(M*)`, and on
-//! the maintained matching a sweep at a practical ε never changed what an
-//! epoch's restore commits.
+//! No engine runs a periodic global pass: the [`RepairPolicy`] alone
+//! schedules repairs. Nor does any run Algorithm 3's weight-class sweep,
+//! which promises progress only while `w(M) < (1 − ε)·w(M*)`: the eager
+//! engine's final matchings certify at 0.978–1.0 of optimum in the
+//! shootout (`oracle_ratio` in `BENCH_dynamic.json`), so only ε ≲ 0.02
+//! could help.
 //!
 //! # Example
 //!

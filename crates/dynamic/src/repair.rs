@@ -12,9 +12,10 @@
 //! [`RepairKit::net_recourse`] folds the journal into the *net* number of
 //! matching edges changed — an edge swapped out and back in within one
 //! update counts zero — which is the one recourse definition the whole
-//! workspace reports. A whole-graph restore and the recompute baseline
-//! measure the same thing directly, as [`recourse_between`] the matchings
-//! before and after.
+//! workspace reports. The one whole-graph restore ([`RepairKit::restore`],
+//! the sentinel's heal without a WAL) and the recompute baseline measure
+//! the same thing directly, as [`recourse_between`] the matchings before
+//! and after.
 
 use wmatch_graph::aug_search::AugSearcher;
 use wmatch_graph::{Edge, Matching, Vertex};
@@ -176,10 +177,9 @@ impl RepairKit {
     }
 
     /// Restores the bounded-augmentation invariant over the whole graph —
-    /// the rebuild epoch and the sentinel's heal without a WAL —
-    /// and returns its gain, its augmentations and its recourse against
-    /// the matching it started from (`rebuilt` stays false).
-    /// [`AugSearcher::converge`] runs in place on the live graph. Its
+    /// the sentinel's heal without a WAL — and returns its gain, its
+    /// augmentations and its recourse against the matching it started
+    /// from. [`AugSearcher::converge`] runs in place on the live graph. Its
     /// winner is order-free, so this is the result of [`RepairKit::fix_up`]
     /// with every vertex dirty, augmentation for augmentation. Mutations
     /// are not journalled.
@@ -190,7 +190,6 @@ impl RepairKit {
             gain: m.weight() - self.before.weight(),
             recourse: recourse_between(&self.before, m),
             augmentations,
-            rebuilt: false,
         }
     }
 

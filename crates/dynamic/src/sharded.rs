@@ -4,10 +4,11 @@
 //! batches and wraps the sequential per-op path with the production
 //! machinery: a write-ahead log for crash recovery, seeded fault
 //! injection, a batch-boundary invariant sentinel that quarantines and
-//! heals damaged state, and the deferred-repair mode of the degraded
-//! [`ServeDriver`](crate::ServeDriver). Every batch commits op by op, in
-//! stream order, through the same crate-private `EngineCore` path that
-//! [`DynamicMatcher`] runs.
+//! heals damaged state (by WAL recovery, or without a WAL by the crate's
+//! one global restore of the invariant), and the deferred-repair mode of
+//! the degraded [`ServeDriver`](crate::ServeDriver). Every batch commits
+//! op by op, in stream order, through the same crate-private
+//! `EngineCore` path that [`DynamicMatcher`] runs.
 //!
 //! # Shards
 //!
@@ -328,9 +329,8 @@ impl ShardedMatcher {
     }
 
     /// Repairs everything deferred by [`ShardedMatcher::apply_deferred`]
-    /// in one batched sweep (plus a rebuild epoch if one came due while
-    /// deferring), restoring the Fact 1.3 certificate. Returns the
-    /// flush's aggregate churn; `applied` stays 0 — the deferred ops
+    /// in one batched sweep, restoring the Fact 1.3 certificate. Returns
+    /// the flush's aggregate churn; `applied` stays 0 — the deferred ops
     /// were already counted when ingested.
     pub fn flush_repairs(&mut self) -> BatchStats {
         let s = self.core.flush();
@@ -341,7 +341,6 @@ impl ShardedMatcher {
             gain: s.gain,
             recourse: s.recourse,
             augmentations: s.augmentations,
-            rebuilds: u64::from(s.rebuilt),
             ..Default::default()
         }
     }
@@ -411,7 +410,6 @@ impl ShardedMatcher {
         self.core.g = DynGraph::new(n);
         self.core.m.reset(n);
         self.core.counters = DynamicCounters::default();
-        self.core.updates_since_rebuild = 0;
         self.core.pending.clear();
         self.core.pending_ops = 0;
     }
@@ -475,9 +473,9 @@ impl ShardedMatcher {
     /// Quarantines a shard the sentinel flagged and heals the engine:
     /// with a WAL, a full [`ShardedMatcher::recover`] (bit-identical to
     /// the uninterrupted run); without one, dead matched entries are
-    /// dropped and the global restore of a rebuild epoch re-certifies the
-    /// Fact 1.3 floor on the surviving state, warm and in place. Public
-    /// so serve drivers and watchdogs (e.g.
+    /// dropped and one global restore re-certifies the Fact 1.3 floor on
+    /// the surviving state, warm and in place, which settles any deferred
+    /// repairs with it. Public so serve drivers and watchdogs (e.g.
     /// [`ServeDriver`](crate::ServeDriver) after a deferred-repair flush)
     /// can heal a flagged shard on the spot instead of waiting for the
     /// next batch's sentinel gate.
@@ -491,6 +489,8 @@ impl ShardedMatcher {
                 cfg,
                 kit,
                 counters,
+                pending,
+                pending_ops,
                 ..
             } = &mut self.core;
             let n = g.vertex_count();
@@ -501,10 +501,11 @@ impl ShardedMatcher {
                     }
                 }
             }
-            // an epoch's restore, without consuming the epoch counter
             let heal = kit.restore(g, m, cfg.max_len);
             counters.recourse_total += heal.recourse;
             counters.augmentations_applied += heal.augmentations;
+            pending.clear();
+            *pending_ops = 0;
         }
         if let Some(c) = self.core.chaos.as_mut() {
             c.counters.sentinel_trips += 1;
@@ -549,7 +550,6 @@ impl UpdateEngine for ShardedMatcher {
                 gain: s.gain,
                 recourse: s.recourse,
                 augmentations: s.augmentations,
-                rebuilt: s.rebuilds > 0,
             }),
             Err(e) => Err(e.source),
         }
@@ -566,7 +566,6 @@ impl UpdateEngine for ShardedMatcher {
             gain: s.gain,
             recourse: s.recourse,
             augmentations: s.augmentations,
-            rebuilt: s.rebuilds > 0,
         }
     }
 
@@ -590,7 +589,7 @@ impl UpdateEngine for ShardedMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DynamicMatcher, RepairPolicy};
+    use crate::engine::DynamicMatcher;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use wmatch_graph::Vertex;
@@ -663,19 +662,6 @@ mod tests {
                 for &batch in &[64usize, 256, 512] {
                     assert_matches_sequential(cfg, &ops, shards, batch);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_matches_sequential_with_rebuild_epochs() {
-        let ops = churn_ops(24, 200, 0xbeef);
-        for &threads in &[1usize, 2] {
-            let cfg = DynamicConfig::default()
-                .with_rebuild_threshold(32)
-                .with_threads(threads);
-            for &shards in &[2usize, 4] {
-                assert_matches_sequential(cfg, &ops, shards, 50);
             }
         }
     }
@@ -755,11 +741,13 @@ mod tests {
     }
 
     #[test]
-    fn epochs_and_heals_keep_the_heaviest_copy_matched() {
-        // no epoch upgrades a matched pair to a heavier parallel copy: the
-        // validity rule swaps one in on insert, and a search never adds
-        // the lighter copy of an unmatched pair (the same walk through
-        // the heavier copy gains strictly more)
+    fn heals_keep_the_heaviest_copy_matched() {
+        // no heal without a WAL upgrades a matched pair to a heavier
+        // parallel copy: the validity rule swaps one in on insert, and a
+        // search never adds the lighter copy of an unmatched pair (the
+        // same walk through the heavier copy gains strictly more). A bit
+        // flip rewrites a matched weight, the sentinel drops the dead
+        // entry and the global restore re-matches
         let mut rng = StdRng::seed_from_u64(0x4eaf);
         let pairs: Vec<(Vertex, Vertex)> = (0..10)
             .map(|_| {
@@ -779,49 +767,51 @@ mod tests {
                 ops.push(UpdateOp::insert(u, v, rng.gen_range(1..30u64)));
             }
         }
-        let cfg = DynamicConfig::default().with_rebuild_threshold(7);
-        let mut epochs = 0;
-        for policy in [
-            RepairPolicy::Eager,
-            RepairPolicy::Budget(1),
-            RepairPolicy::Window(5),
-        ] {
-            let mut eng = DynamicMatcher::new(16, cfg).with_policy(policy);
-            for (i, &op) in ops.iter().enumerate() {
-                if eng.apply(op).unwrap().rebuilt {
-                    epochs += 1;
-                    assert_heaviest_copies(
-                        eng.graph(),
-                        eng.matching(),
-                        &format!("{policy:?} op {i}"),
-                    );
-                }
-            }
-        }
-        assert!(epochs > 200, "epochs must fire ({epochs})");
-        // heals without a WAL: a bit flip rewrites a matched weight, the
-        // sentinel drops the dead entry and the restore re-matches
-        let mut eng = ShardedMatcher::new(16, cfg, 2).with_batch_size(6);
+        let mut eng = ShardedMatcher::new(16, DynamicConfig::default(), 2).with_batch_size(6);
         eng.install_chaos(ChaosConfig::new().with_seed(3).with_bitflip_every(2));
         let mut heals = 0;
         for (b, batch) in ops.chunks(6).enumerate() {
-            let flips = eng.chaos_counters().unwrap().bit_flips;
-            match eng.apply_batch(batch) {
-                Err(e) => {
-                    assert!(e.is_transient(), "{e}");
-                    heals += 1;
-                    assert_heaviest_copies(eng.graph(), eng.matching(), &format!("heal {b}"));
-                    eng.apply_batch(batch).unwrap();
-                }
-                Ok(stats)
-                    if stats.rebuilds > 0 && eng.chaos_counters().unwrap().bit_flips == flips =>
-                {
-                    assert_heaviest_copies(eng.graph(), eng.matching(), &format!("batch {b}"));
-                }
-                Ok(_) => {}
+            if let Err(e) = eng.apply_batch(batch) {
+                assert!(e.is_transient(), "{e}");
+                heals += 1;
+                assert_heaviest_copies(eng.graph(), eng.matching(), &format!("heal {b}"));
+                eng.apply_batch(batch).unwrap();
             }
         }
         assert!(heals > 10, "heals must run ({heals})");
+    }
+
+    #[test]
+    fn heal_settles_the_deferred_repairs_it_restores() {
+        // the heal's global restore re-certifies the whole graph, so it
+        // settles deferred repairs as a flush would: the same matching and
+        // counters as a twin that flushes instead, no debt left behind,
+        // and the sentinel's dominance check back on
+        for max_len in [3usize, 5] {
+            let cfg = DynamicConfig::default().with_max_len(max_len);
+            for seed in 0..60u64 {
+                let ops = churn_ops(24, 240, seed);
+                let run = || {
+                    let mut eng = ShardedMatcher::new(24, cfg, 2);
+                    eng.apply_all(&ops[..120]).unwrap();
+                    eng.apply_deferred(&ops[120..]).unwrap();
+                    assert!(eng.deferred_repairs() > 0);
+                    eng
+                };
+                let (mut healed, mut flushed) = (run(), run());
+                healed.quarantine_heal(0);
+                flushed.flush_repairs();
+                let at = format!("max_len {max_len}, seed {seed}");
+                assert_eq!(
+                    healed.matching().to_edges(),
+                    flushed.matching().to_edges(),
+                    "{at}"
+                );
+                assert_eq!(healed.counters(), flushed.counters(), "{at}");
+                assert_eq!(healed.deferred_repairs(), 0, "{at}");
+                assert_eq!(healed.sentinel_violation(), None, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! is appended to the in-memory op journal (the *tail*) before the
 //! engine touches it, and once the tail grows past the configured
 //! cadence a fresh snapshot of the engine's semantic state (graph,
-//! matching, counters, rebuild phase, pending repair debt) is captured at
-//! the batch boundary and the tail is cleared. Durable state is therefore
-//! always `snapshot + tail`, and
+//! matching, counters, pending repair debt) is captured at the batch
+//! boundary and the tail is cleared. Durable state is therefore always
+//! `snapshot + tail`, and
 //! [`ShardedMatcher::recover`](crate::ShardedMatcher::recover) rebuilds
 //! it by restoring the snapshot and replaying the tail through the
 //! ordinary batch path — which the engine's determinism contract
@@ -97,7 +97,6 @@ pub(crate) struct Wal {
     snap_g: DynGraph,
     snap_m: Matching,
     snap_counters: DynamicCounters,
-    snap_since_rebuild: usize,
     snap_pending: Vec<Vertex>,
     snap_pending_ops: usize,
     tail: Vec<UpdateOp>,
@@ -113,7 +112,6 @@ impl Wal {
             snap_g: DynGraph::new(0),
             snap_m: Matching::new(0),
             snap_counters: DynamicCounters::default(),
-            snap_since_rebuild: 0,
             snap_pending: Vec::new(),
             snap_pending_ops: 0,
             tail: Vec::new(),
@@ -128,7 +126,6 @@ impl Wal {
         self.snap_g.clone_from(&core.g);
         self.snap_m.copy_from(&core.m);
         self.snap_counters = core.counters;
-        self.snap_since_rebuild = core.updates_since_rebuild;
         self.snap_pending.clone_from(&core.pending);
         self.snap_pending_ops = core.pending_ops;
         self.tail.clear();
@@ -165,7 +162,6 @@ impl Wal {
         core.g.clone_from(&self.snap_g);
         core.m.copy_from(&self.snap_m);
         core.counters = self.snap_counters;
-        core.updates_since_rebuild = self.snap_since_rebuild;
         core.pending.clone_from(&self.snap_pending);
         core.pending_ops = self.snap_pending_ops;
     }

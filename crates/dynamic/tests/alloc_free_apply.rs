@@ -1,11 +1,12 @@
 //! Counting-allocator proof that the dynamic engine's update path is
 //! allocation-free at steady state: once a warm-up cycle has sized every
-//! persistent buffer (slab, adjacency, repair-kit arenas, the restore's
-//! pre-epoch matching, pending-repair set), re-applying the identical op
-//! cycle — running rebuild epochs, which restore the invariant in place
-//! (including one whose global restore applies an augmentation), deferring
-//! repairs under a budget or window policy and flushing them, or feeding
-//! the sharded engine's batch path — must not touch the allocator.
+//! persistent buffer (slab, adjacency, repair-kit arenas, the matching a
+//! global restore starts from, pending-repair set), re-applying the
+//! identical op cycle must not touch the allocator — whether it runs the
+//! eager repair, ends in the sentinel's heal without a WAL (the one global
+//! restore, which applies augmentations after deferred ops), defers
+//! repairs under a budget or window policy and flushes them, or feeds the
+//! sharded engine's batch path.
 //!
 //! This file holds a single test so no concurrent test thread can
 //! perturb the counter (the same discipline as the graph crate's
@@ -105,28 +106,42 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
         "warmed-up apply must not touch the allocator ({during} allocations)"
     );
 
-    // phase 2: rebuild epochs (each re-certifies the invariant globally in
-    // place and diffs against the pre-epoch matching)
-    let cfg = DynamicConfig::default().with_rebuild_threshold(10);
-    let mut eng = DynamicMatcher::new(n, cfg);
-    eng.apply_all(&base).expect("base ops are well-formed");
-    // two warm-up cycles: the first grows the epoch buffers, the second
-    // proves the op/epoch alignment repeats (cycle length 30 and base 5
-    // keep epochs at fixed cycle offsets)
-    eng.apply_all(&cycle).expect("cycle ops are well-formed");
-    eng.apply_all(&cycle).expect("cycle ops are well-formed");
-    let rebuilds_before = eng.counters().rebuilds;
-    let before = allocations();
-    eng.apply_all(&cycle).expect("cycle ops are well-formed");
-    let during = allocations() - before;
-    assert!(
-        eng.counters().rebuilds > rebuilds_before,
-        "epochs must actually fire inside the measured cycle"
-    );
-    assert_eq!(
-        during, 0,
-        "warmed-up rebuild epochs must not allocate ({during} allocations)"
-    );
+    // phase 2: the sentinel's heal without a WAL, the engine's one global
+    // restore, which re-certifies the invariant in place and diffs against
+    // the matching it started from. After an eager cycle it applies
+    // nothing; after a deferred one it applies every repair the cycle
+    // owes (its matched deletes leave the base pairs unmatched)
+    for deferred in [false, true] {
+        let ingest = if deferred {
+            ShardedMatcher::apply_deferred
+        } else {
+            ShardedMatcher::apply_all
+        };
+        let mut eng = ShardedMatcher::new(n, DynamicConfig::default(), 4);
+        eng.apply_all(&base).expect("base ops are well-formed");
+        let before_warm = eng.matching().to_edges();
+        ingest(&mut eng, &cycle).expect("cycle ops are well-formed");
+        eng.quarantine_heal(0);
+        assert_eq!(
+            eng.matching().to_edges(),
+            before_warm,
+            "deferred = {deferred}: the cycle plus a heal is state-neutral"
+        );
+        let augs_before = eng.counters().augmentations_applied;
+        let before = allocations();
+        ingest(&mut eng, &cycle).expect("cycle ops are well-formed");
+        eng.quarantine_heal(0);
+        let during = allocations() - before;
+        assert_eq!(eng.deferred_repairs(), 0, "the heal settles the debt");
+        assert!(
+            !deferred || eng.counters().augmentations_applied > augs_before,
+            "the restore after a deferred cycle must apply augmentations"
+        );
+        assert_eq!(
+            during, 0,
+            "deferred = {deferred}: a warmed-up heal must not allocate ({during} allocations)"
+        );
+    }
 
     // phase 3: the deferring policies — a budget that runs out (carrying
     // repairs into later ops) and a window that defers and batch-flushes;
@@ -165,42 +180,7 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
         );
     }
 
-    // phase 4: a rebuild epoch whose global restore applies an
-    // augmentation. Under a budget of 1 the teardown's matched delete
-    // re-matches one light pair and leaves the other pending; with two
-    // lead-in ops and 6-op cycles, the epoch comes due on exactly that
-    // delete in every cycle, and its restore matches the second pair.
-    let cfg = DynamicConfig::default().with_rebuild_threshold(6);
-    let mut eng = DynamicMatcher::new(n, cfg).with_policy(RepairPolicy::Budget(1));
-    eng.apply_all(&[UpdateOp::insert(10, 11, 7), UpdateOp::delete(10, 11)])
-        .expect("lead-in ops are well-formed");
-    let mut teardown = Vec::new();
-    ops_two_augmentation_teardown(&mut teardown, 0);
-    for _ in 0..2 {
-        eng.apply_all(&teardown)
-            .expect("teardown ops are well-formed");
-    }
-    assert!(eng.matching().is_empty(), "the teardown is state-neutral");
-    let augs_before = eng.counters().augmentations_applied;
-    let rebuilds_before = eng.counters().rebuilds;
-    let before = allocations();
-    let stats = eng
-        .apply_all(&teardown)
-        .expect("teardown ops are well-formed");
-    let during = allocations() - before;
-    let restored = eng.counters().augmentations_applied - augs_before - stats.augmentations;
-    assert_eq!(eng.counters().rebuilds, rebuilds_before + 1);
-    assert_eq!(
-        restored, 1,
-        "the epoch's global restore must apply the deferred augmentation"
-    );
-    assert_eq!(
-        during, 0,
-        "a warmed-up restore that applies augmentations must not allocate \
-         ({during} allocations)"
-    );
-
-    // phase 5: the sharded batch path — `apply_all` chunks the cycle into
+    // phase 4: the sharded batch path — `apply_all` chunks the cycle into
     // batches that each commit through the sequential per-op path, so the
     // batching itself must not allocate either (no WAL, no chaos)
     let cycle = churn_cycle();

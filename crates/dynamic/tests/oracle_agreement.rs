@@ -7,9 +7,8 @@
 //!
 //! Covers the unit cases the update model makes interesting (deleting a
 //! matched edge, parallel edges, weight-class boundary crossings), a
-//! ≥10⁵-operation churn sequence with periodic oracle checkpoints and
-//! rebuild epochs, and a pinned-seed property test over random update
-//! sequences.
+//! ≥10⁵-operation churn sequence with periodic oracle checkpoints, and a
+//! pinned-seed property test over random update sequences.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -71,17 +70,16 @@ fn churn_op(rng: &mut StdRng, n: usize, live: &mut Vec<(Vertex, Vertex)>) -> Upd
     }
 }
 
-/// The headline acceptance check: a 10⁵-operation churn sequence with
-/// rebuild epochs enabled; at every checkpoint the maintained matching
-/// meets the declared floor against the blossom oracle.
+/// The headline acceptance check: a 10⁵-operation churn sequence; at
+/// every checkpoint the maintained matching meets the declared floor
+/// against the blossom oracle.
 #[test]
 fn hundred_thousand_op_churn_holds_floor_at_checkpoints() {
     const N: usize = 96;
     const OPS: usize = 100_000;
     const CHECKPOINT: usize = 1_000;
     let mut rng = StdRng::seed_from_u64(0xA11CE);
-    let cfg = DynamicConfig::default().with_rebuild_threshold(20_000);
-    let mut eng = DynamicMatcher::new(N, cfg);
+    let mut eng = DynamicMatcher::new(N, DynamicConfig::default());
     let mut live = Vec::new();
     for step in 1..=OPS {
         let op = churn_op(&mut rng, N, &mut live);
@@ -92,7 +90,6 @@ fn hundred_thousand_op_churn_holds_floor_at_checkpoints() {
     }
     let counters = eng.counters();
     assert_eq!(counters.updates_applied as usize, OPS);
-    assert_eq!(counters.rebuilds, 5, "one epoch per 20k updates");
     // bounded recourse in the aggregate: local repair touches a handful
     // of matching edges per update, not the whole matching
     assert!(
@@ -133,8 +130,7 @@ fn bipartite_churn_certifies_warm_at_every_thousand_ops() {
     const OPS: usize = 20_000;
     const CHECKPOINT: usize = 1_000;
     let mut rng = StdRng::seed_from_u64(0xB1BA);
-    let cfg = DynamicConfig::default().with_rebuild_threshold(5_000);
-    let mut eng = DynamicMatcher::new(N, cfg);
+    let mut eng = DynamicMatcher::new(N, DynamicConfig::default());
     let side: Vec<bool> = (0..N).map(|v| v >= N / 2).collect();
     let mut cert = IncrementalCertifier::new(side.clone());
     let mut live = Vec::new();
@@ -216,10 +212,8 @@ fn parallel_edges_agree_with_oracle_through_churn() {
 fn weight_class_boundary_crossings_survive_rebuild_epochs() {
     // weights straddling the geometric weight-class boundaries (the
     // power-of-two grid of Algorithm 3's class sweep): every class of the
-    // grid is populated on both sides of a boundary, and rebuild epochs
-    // run right through them
-    let cfg = DynamicConfig::default().with_rebuild_threshold(8);
-    let mut eng = DynamicMatcher::new(20, cfg);
+    // grid is populated on both sides of a boundary
+    let mut eng = DynamicMatcher::new(20, DynamicConfig::default());
     let mut step = 0usize;
     for k in 1..6u32 {
         let class = 1u64 << k; // 2, 4, 8, 16, 32
@@ -240,7 +234,6 @@ fn weight_class_boundary_crossings_survive_rebuild_epochs() {
         assert_oracle_floor(&eng, &format!("boundary delete at {base}"));
         step += 1;
     }
-    assert!(eng.counters().rebuilds > 0, "epochs must have fired");
 }
 
 #[test]
@@ -329,17 +322,15 @@ proptest! {
         prop_assert_eq!(replay.matching().to_edges(), eng.matching().to_edges());
     }
 
-    /// The same sequences with rebuild epochs enabled, across thread
-    /// counts: bit-identical matchings and counters for threads 1/2/4/0.
+    /// The same sequences across thread counts: bit-identical matchings
+    /// and counters for threads 1/2/4/0.
     #[test]
     fn random_sequences_bit_identical_across_threads(
         (n, raw) in arb_update_plan(10, 40),
     ) {
         let ops = interpret(n, &raw);
         let run = |threads: usize| {
-            let cfg = DynamicConfig::default()
-                .with_rebuild_threshold(10)
-                .with_threads(threads);
+            let cfg = DynamicConfig::default().with_threads(threads);
             let mut eng = DynamicMatcher::new(n, cfg);
             eng.apply_all(&ops).expect("interpreted ops are well-formed");
             (eng.matching().to_edges(), eng.counters())
@@ -361,7 +352,7 @@ proptest! {
         (n, raw) in arb_update_plan(12, 60),
     ) {
         let ops = interpret(n, &raw);
-        let cfg = DynamicConfig::default().with_rebuild_threshold(25);
+        let cfg = DynamicConfig::default();
         let mut seq = DynamicMatcher::new(n, cfg);
         let want_stats = seq.apply_all(&ops).expect("interpreted ops are well-formed");
         for shards in [1usize, 2, 8] {
@@ -419,7 +410,7 @@ fn sharded_boundary_churn_matches_sequential_with_floor_checkpoints() {
             live.push((u, v));
         }
     }
-    let cfg = DynamicConfig::default().with_rebuild_threshold(1_000);
+    let cfg = DynamicConfig::default();
     let mut seq = DynamicMatcher::new(N, cfg);
     // threads = 2 is accepted and must not change the committed state
     // either

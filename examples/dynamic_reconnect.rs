@@ -41,8 +41,8 @@ fn main() {
     println!("ride matching: {drivers} drivers, {riders} rider slots");
     println!();
     println!(
-        "{:>6} {:>8} {:>9} {:>10} {:>11} {:>10}",
-        "step", "riders", "value", "vs oracle", "recourse/op", "rebuilds"
+        "{:>6} {:>8} {:>9} {:>10} {:>11}",
+        "step", "riders", "value", "vs oracle", "recourse/op"
     );
 
     let steps = 600;
@@ -89,13 +89,12 @@ fn main() {
             let d_rec = counters.recourse_total - last_recourse;
             let d_ops = counters.updates_applied - last_updates;
             println!(
-                "{:>6} {:>8} {:>9} {:>10} {:>11.3} {:>10}",
+                "{:>6} {:>8} {:>9} {:>10} {:>11.3}",
                 step,
                 sessions.len(),
                 eng.matching().weight(),
                 pct(ratio),
                 d_rec as f64 / d_ops.max(1) as f64,
-                counters.rebuilds,
             );
             last_recourse = counters.recourse_total;
             last_updates = counters.updates_applied;
