@@ -252,8 +252,7 @@ impl Error for BatchError {
 /// edge), and the same ball-local repair kernel; they differ only in how
 /// much repair an update pays for and when. Once
 /// [`DynamicMatcher::flush`] has run, every policy certifies the same
-/// Fact 1.3 floor. The policy is the engine's one scheduler: no update
-/// count triggers a global pass.
+/// Fact 1.3 floor.
 ///
 /// Set with [`DynamicMatcher::with_policy`]. The sharded engine has no
 /// policy: its batches commit through the eager repair, and its degraded

@@ -62,12 +62,10 @@
 //! settles any deferred repairs; its recourse is the diff against the
 //! matching it started from.
 //!
-//! No engine runs a periodic global pass: the [`RepairPolicy`] alone
-//! schedules repairs. Nor does any run Algorithm 3's weight-class sweep,
-//! which promises progress only while `w(M) < (1 − ε)·w(M*)`: the eager
-//! engine's final matchings certify at 0.978–1.0 of optimum in the
-//! shootout (`oracle_ratio` in `BENCH_dynamic.json`), so only ε ≲ 0.02
-//! could help.
+//! The engine does not run Algorithm 3's weight-class sweep, which
+//! promises progress only while `w(M) < (1 − ε)·w(M*)`: the maintained
+//! matchings already certify close to optimum (the shootout's
+//! `oracle_ratio` in `BENCH_dynamic.json`).
 //!
 //! # Example
 //!

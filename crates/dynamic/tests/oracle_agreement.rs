@@ -210,9 +210,9 @@ fn parallel_edges_agree_with_oracle_through_churn() {
 
 #[test]
 fn weight_class_boundary_crossings_survive_rebuild_epochs() {
-    // weights straddling the geometric weight-class boundaries (the
-    // power-of-two grid of Algorithm 3's class sweep): every class of the
-    // grid is populated on both sides of a boundary
+    // weights straddling the power-of-two weight-class boundaries: every
+    // class is populated on both sides of a boundary, with the heavier
+    // neighbour one unit up, and the floor is checked after every step
     let mut eng = DynamicMatcher::new(20, DynamicConfig::default());
     let mut step = 0usize;
     for k in 1..6u32 {
