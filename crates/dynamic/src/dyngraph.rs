@@ -4,7 +4,7 @@
 //! invalidated on every mutation), which is the right trade-off for the
 //! static solvers but ruinous under an update stream. [`DynGraph`] is the
 //! dynamic counterpart: a struct-of-arrays slab of live edges plus
-//! per-vertex adjacency lists of edge ids, giving O(1) insertion,
+//! per-vertex lists of edge ids, giving O(1) amortized insertion,
 //! O(degree) deletion, and O(degree) incidence scans without any derived
 //! structure to rebuild. The engine's searches read it in place through
 //! [`DynGraph::incident`]; [`DynGraph::snapshot`] materializes the live
@@ -22,6 +22,24 @@
 //! order (the deletion LIFO key), so it is invisible to replay
 //! determinism: any engine replaying the same operation history compacts
 //! at the same points with the same result.
+//!
+//! The adjacency lists share one flat *arena* of edge ids. Each vertex
+//! owns a contiguous range of it, recorded as a (start, length,
+//! capacity) triple — 12 bytes per vertex, against a 24-byte `Vec`
+//! header plus a heap block of its own. A push into a full range moves
+//! the range to the arena's end with doubled capacity (at least 4, as a
+//! `Vec` of `u32` grows) and leaves a hole; once holes make up a quarter
+//! of the arena, a *repack* slides every range down over them in arena
+//! order, keeping every capacity. Neither move reorders a range, so each
+//! vertex keeps its insertion order — the deletion LIFO key and the
+//! searches' enumeration order. [`DynGraph::from_graph`] lays every range
+//! out once, with the capacity its degree would have grown to, so a
+//! bootstrap never moves one.
+//!
+//! The whole graph is therefore a handful of flat arrays, and
+//! [`Clone::clone_from`] copies them into the destination's buffers: a
+//! WAL snapshot or restore is a flat copy of O(n + slab) words that
+//! makes no allocation once the destination is warm.
 
 use wmatch_graph::{Edge, Graph, Vertex};
 
@@ -35,13 +53,37 @@ const TOMBSTONE: Vertex = Vertex::MAX;
 /// Dead slots required before a deletion considers compacting.
 const COMPACT_MIN_DEAD: usize = 64;
 
+/// Capacity a vertex's range gets on its first push.
+const MIN_RANGE_CAP: usize = 4;
+
+/// Arena holes required before a move considers repacking.
+const REPACK_MIN_HOLES: usize = 64;
+
+/// One vertex's slice of the adjacency arena: `ids[start..start + len]`
+/// holds its edge ids in insertion order, and the range owns the `cap`
+/// slots from `start`. A range with `cap == 0` has `start == 0`.
+#[derive(Debug, Clone, Copy, Default)]
+struct AdjRange {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// An arena offset or capacity as an [`AdjRange`] stores it.
+fn arena_u32(x: usize) -> u32 {
+    u32::try_from(x).expect("the adjacency arena stays within u32 offsets")
+}
+
 /// A dynamic undirected multigraph over a fixed vertex range `0..n`.
 ///
 /// Edges live in a struct-of-arrays slab (`u32` ids, reused after
 /// deletion, compacted when mostly dead) and each vertex keeps the ids of
-/// its live incident edges in insertion order. Deleting `{u, v}` removes
-/// the most recently inserted live copy — a deterministic rule that keeps
-/// replay reproducible under parallel edges.
+/// its live incident edges, in insertion order, in its own range of one
+/// shared arena (see the module docs). Deleting `{u, v}` removes the most
+/// recently inserted live copy — a deterministic rule that keeps replay
+/// reproducible under parallel edges. [`Clone::clone_from`] reuses the
+/// destination's buffers, so copying a graph into a warm one does not
+/// allocate.
 ///
 /// # Example
 ///
@@ -57,7 +99,7 @@ const COMPACT_MIN_DEAD: usize = 64;
 /// assert_eq!(e.weight, 7);
 /// assert_eq!(g.live_edges(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DynGraph {
     n: usize,
     /// Slab endpoints as inserted (`eu[id] == TOMBSTONE` marks a dead
@@ -66,10 +108,41 @@ pub struct DynGraph {
     ev: Vec<Vertex>,
     ew: Vec<u64>,
     free: Vec<u32>,
-    adj: Vec<Vec<u32>>,
+    /// Each vertex's range in `ids`.
+    ranges: Vec<AdjRange>,
+    /// The adjacency arena: every vertex's range, and the holes moved
+    /// ranges left behind.
+    ids: Vec<u32>,
+    /// Arena slots in no vertex's range.
+    holes: usize,
     live: usize,
-    /// Old-id → new-id table of the last compaction (persistent scratch).
-    remap: Vec<u32>,
+    /// Persistent scratch outside the graph's state: the old-id → new-id
+    /// table of a compaction, or the vertices in arena order during a
+    /// repack.
+    scratch: Vec<u32>,
+}
+
+impl Clone for DynGraph {
+    fn clone(&self) -> Self {
+        let mut out = DynGraph::new(0);
+        out.clone_from(self);
+        out
+    }
+
+    /// Copies `source` into `self`'s buffers — a flat copy per array,
+    /// with no allocation where `self`'s capacities already suffice. The
+    /// scratch is not state and is not copied.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.eu.clone_from(&source.eu);
+        self.ev.clone_from(&source.ev);
+        self.ew.clone_from(&source.ew);
+        self.free.clone_from(&source.free);
+        self.ranges.clone_from(&source.ranges);
+        self.ids.clone_from(&source.ids);
+        self.holes = source.holes;
+        self.live = source.live;
+    }
 }
 
 impl DynGraph {
@@ -81,13 +154,17 @@ impl DynGraph {
             ev: Vec::new(),
             ew: Vec::new(),
             free: Vec::new(),
-            adj: vec![Vec::new(); n],
+            ranges: vec![AdjRange::default(); n],
+            ids: Vec::new(),
+            holes: 0,
             live: 0,
-            remap: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
     /// A dynamic graph seeded with every edge of `g` (in insertion order).
+    /// Degrees are counted first, so each vertex's range is laid out once
+    /// and no insertion moves it.
     ///
     /// # Errors
     ///
@@ -96,6 +173,21 @@ impl DynGraph {
     /// model does).
     pub fn from_graph(g: &Graph) -> Result<Self, DynamicError> {
         let mut out = DynGraph::new(g.vertex_count());
+        // count each degree in `cap`, then give the range the capacity
+        // that many pushes would have grown it to
+        for e in g.edges() {
+            out.check_insert(e.u, e.v, e.weight)?;
+            out.ranges[e.u as usize].cap += 1;
+            out.ranges[e.v as usize].cap += 1;
+        }
+        let mut end = 0usize;
+        for r in out.ranges.iter_mut().filter(|r| r.cap > 0) {
+            let cap = (r.cap as usize).next_power_of_two().max(MIN_RANGE_CAP);
+            r.start = arena_u32(end);
+            r.cap = arena_u32(cap);
+            end += cap;
+        }
+        out.ids.resize(arena_u32(end) as usize, 0);
         for e in g.edges() {
             out.insert(e.u, e.v, e.weight)?;
         }
@@ -124,7 +216,14 @@ impl DynGraph {
     /// Degree of `v` (counting parallel edges).
     #[inline]
     pub fn degree(&self, v: Vertex) -> usize {
-        self.adj[v as usize].len()
+        self.ranges[v as usize].len as usize
+    }
+
+    /// The ids of `v`'s live incident edges, in insertion order.
+    #[inline]
+    fn adj(&self, v: Vertex) -> &[u32] {
+        let r = self.ranges[v as usize];
+        &self.ids[r.start as usize..][..r.len as usize]
     }
 
     /// The live edge in slab slot `id` (must be live).
@@ -162,10 +261,80 @@ impl DynGraph {
                 id
             }
         };
-        self.adj[u as usize].push(id);
-        self.adj[v as usize].push(id);
+        self.push_id(u, id);
+        self.push_id(v, id);
         self.live += 1;
         Ok(id)
+    }
+
+    /// Appends `id` to `v`'s range, moving the range first if it is full.
+    fn push_id(&mut self, v: Vertex, id: u32) {
+        let r = self.ranges[v as usize];
+        if r.len == r.cap {
+            self.move_to_end(v as usize);
+        }
+        let r = &mut self.ranges[v as usize];
+        self.ids[r.start as usize + r.len as usize] = id;
+        r.len += 1;
+    }
+
+    /// Moves `v`'s full range to the arena's end with doubled capacity,
+    /// leaving a hole where it was, and repacks once holes make up a
+    /// quarter of the arena.
+    fn move_to_end(&mut self, v: usize) {
+        let AdjRange { start, len, cap } = self.ranges[v];
+        let from = start as usize;
+        let to = self.ids.len();
+        let grown = (2 * cap as usize).max(MIN_RANGE_CAP);
+        self.ids.resize(arena_u32(to + grown) as usize, 0);
+        self.ids.copy_within(from..from + len as usize, to);
+        self.ranges[v] = AdjRange {
+            start: arena_u32(to),
+            len,
+            cap: arena_u32(grown),
+        };
+        self.holes += cap as usize;
+        if self.holes >= REPACK_MIN_HOLES && 4 * self.holes > self.ids.len() {
+            self.repack();
+        }
+    }
+
+    /// Slides every range down over the holes. Ranges are visited in
+    /// arena order, so each moves only towards the front and one pass in
+    /// place suffices; capacities are kept.
+    fn repack(&mut self) {
+        let DynGraph {
+            ranges,
+            ids,
+            scratch: order,
+            ..
+        } = self;
+        order.clear();
+        order.extend((0..ranges.len() as u32).filter(|&v| ranges[v as usize].cap > 0));
+        // owned ranges are disjoint, so their starts are distinct
+        order.sort_unstable_by_key(|&v| ranges[v as usize].start);
+        let mut to = 0usize;
+        for &v in order.iter() {
+            let r = &mut ranges[v as usize];
+            let from = r.start as usize;
+            ids.copy_within(from..from + r.len as usize, to);
+            r.start = to as u32;
+            to += r.cap as usize;
+        }
+        ids.truncate(to);
+        self.holes = 0;
+    }
+
+    /// Removes and returns the id at `pos` of `v`'s range, shifting the
+    /// later ids down so the range keeps its order.
+    fn remove_at(&mut self, v: Vertex, pos: usize) -> u32 {
+        let r = &mut self.ranges[v as usize];
+        let at = r.start as usize + pos;
+        let id = self.ids[at];
+        self.ids
+            .copy_within(at + 1..r.start as usize + r.len as usize, at);
+        r.len -= 1;
+        id
     }
 
     /// Validates an insertion without mutating.
@@ -217,16 +386,18 @@ impl DynGraph {
     /// is unchanged).
     pub fn delete(&mut self, u: Vertex, v: Vertex) -> Result<Edge, DynamicError> {
         self.check_delete(u, v)?;
-        let pos = self.adj[u as usize]
+        let pos = self
+            .adj(u)
             .iter()
             .rposition(|&id| self.eu[id as usize] == v || self.ev[id as usize] == v)
             .ok_or(DynamicError::EdgeNotFound { u, v })?;
-        let id = self.adj[u as usize].remove(pos);
-        let vpos = self.adj[v as usize]
+        let id = self.remove_at(u, pos);
+        let vpos = self
+            .adj(v)
             .iter()
             .rposition(|&other| other == id)
             .expect("live edge is in both adjacency lists");
-        self.adj[v as usize].remove(vpos);
+        self.remove_at(v, vpos);
         let e = self.edge_at(id);
         self.eu[id as usize] = TOMBSTONE;
         self.free.push(id);
@@ -250,7 +421,7 @@ impl DynGraph {
 
     /// Whether a live copy of `{u, v}` with exactly this weight exists.
     pub fn has_live_copy(&self, u: Vertex, v: Vertex, weight: u64) -> bool {
-        self.adj[u as usize].iter().any(|&id| {
+        self.adj(u).iter().any(|&id| {
             (self.eu[id as usize] == v || self.ev[id as usize] == v)
                 && self.ew[id as usize] == weight
         })
@@ -259,7 +430,7 @@ impl DynGraph {
     /// Iterator over the live edges incident to `v`, in insertion order
     /// (with multiplicity for parallel edges).
     pub fn incident(&self, v: Vertex) -> impl Iterator<Item = Edge> + '_ {
-        self.adj[v as usize].iter().map(move |&id| self.edge_at(id))
+        self.adj(v).iter().map(move |&id| self.edge_at(id))
     }
 
     /// Iterator over all live edges in slab-id order (deterministic for a
@@ -292,12 +463,12 @@ impl DynGraph {
     /// are remapped in place, so per-vertex insertion order (the deletion
     /// LIFO key) is untouched.
     fn compact(&mut self) {
-        self.remap.clear();
-        self.remap.resize(self.eu.len(), u32::MAX);
+        self.scratch.clear();
+        self.scratch.resize(self.eu.len(), u32::MAX);
         let mut next = 0usize;
         for id in 0..self.eu.len() {
             if self.eu[id] != TOMBSTONE {
-                self.remap[id] = next as u32;
+                self.scratch[id] = next as u32;
                 self.eu[next] = self.eu[id];
                 self.ev[next] = self.ev[id];
                 self.ew[next] = self.ew[id];
@@ -308,9 +479,14 @@ impl DynGraph {
         self.ev.truncate(next);
         self.ew.truncate(next);
         self.free.clear();
-        let DynGraph { adj, remap, .. } = self;
-        for list in adj.iter_mut() {
-            for id in list.iter_mut() {
+        let DynGraph {
+            ranges,
+            ids,
+            scratch: remap,
+            ..
+        } = self;
+        for r in ranges.iter() {
+            for id in &mut ids[r.start as usize..][..r.len as usize] {
                 *id = remap[*id as usize];
             }
         }
@@ -319,6 +495,9 @@ impl DynGraph {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     #[test]
@@ -442,5 +621,143 @@ mod tests {
         let (u, v, _) = live[live.len() - 1];
         g.delete(u, v).unwrap();
         assert_eq!(g.live_edges(), before - 1);
+    }
+
+    /// `copy` equals `g`: every adjacency list in order, the counts, and
+    /// the state a later op depends on (arena, holes, free list).
+    fn assert_same_graph(g: &DynGraph, copy: &DynGraph, step: usize) {
+        assert_eq!(copy.vertex_count(), g.vertex_count());
+        assert_eq!(copy.live_edges(), g.live_edges(), "step {step}");
+        assert_eq!(copy.slab_slots(), g.slab_slots(), "step {step}");
+        for x in 0..g.vertex_count() as Vertex {
+            assert!(
+                copy.incident(x).eq(g.incident(x)),
+                "step {step}: incident({x}) of the copy"
+            );
+        }
+        assert_eq!((&copy.ids, copy.holes), (&g.ids, g.holes), "step {step}");
+        assert_eq!(copy.free, g.free, "step {step}");
+    }
+
+    /// A seeded model of the arena: random inserts and deletes on 16
+    /// vertices, one of them a hub, with many parallel copies (of equal
+    /// weight too), checked after every op against a `Vec<Vec<Edge>>`
+    /// reference in insertion order. Growth phases that outgrow the last
+    /// peak and shrink phases in between move ranges, repack the arena
+    /// and compact the slab. A `clone_from` into a graph of another size
+    /// and history, and later into the same warm copy, must follow every
+    /// later op identically.
+    #[test]
+    fn arena_keeps_insertion_order_through_moves_repacks_and_compactions() {
+        const N: Vertex = 16;
+        const HUB: Vertex = 0;
+        let mut rng = StdRng::seed_from_u64(0xa7e4a);
+        let mut g = DynGraph::new(N as usize);
+        let mut reference: Vec<Vec<Edge>> = vec![Vec::new(); N as usize];
+        let mut copy = DynGraph::new(40);
+        for x in 1..40 {
+            copy.insert(x - 1, x, 1).unwrap();
+            copy.insert(0, x, 2).unwrap();
+        }
+        let mut copied = false;
+        let (mut moves, mut repacks, mut compactions) = (0, 0, 0);
+        for step in 0..12_000 {
+            let growing = (step / 1_000) % 2 == 0;
+            let insert = g.live_edges() == 0 || rng.gen_bool(if growing { 0.75 } else { 0.3 });
+            let (holes, slots) = (g.holes, g.slab_slots());
+            if insert {
+                let u = if rng.gen_bool(0.3) {
+                    HUB
+                } else {
+                    rng.gen_range(0..N)
+                };
+                let v = (u + rng.gen_range(1..N)) % N;
+                let w = rng.gen_range(1..4u64);
+                g.insert(u, v, w).unwrap();
+                if copied {
+                    copy.insert(u, v, w).unwrap();
+                }
+                reference[u as usize].push(Edge::new(u, v, w));
+                reference[v as usize].push(Edge::new(u, v, w));
+            } else {
+                let x = loop {
+                    let x = rng.gen_range(0..N) as usize;
+                    if !reference[x].is_empty() {
+                        break x;
+                    }
+                };
+                let pick = reference[x][rng.gen_range(0..reference[x].len())];
+                let (u, v) = if rng.gen_bool(0.5) {
+                    (pick.u, pick.v)
+                } else {
+                    (pick.v, pick.u)
+                };
+                // the newest copy of {u, v}: the last in either list
+                let newest = *reference[u as usize]
+                    .iter()
+                    .rfind(|e| e.same_endpoints(&pick))
+                    .unwrap();
+                assert_eq!(g.delete(u, v).unwrap(), newest, "step {step}: LIFO copy");
+                if copied {
+                    assert_eq!(copy.delete(u, v).unwrap(), newest, "step {step}");
+                }
+                for y in [u, v] {
+                    let list = &mut reference[y as usize];
+                    let pos = list.iter().rposition(|e| *e == newest).unwrap();
+                    list.remove(pos);
+                }
+            }
+            moves += usize::from(g.holes > holes);
+            repacks += usize::from(g.holes < holes);
+            compactions += usize::from(g.slab_slots() < slots);
+            for x in 0..N {
+                assert_eq!(g.degree(x), reference[x as usize].len(), "step {step}");
+                assert!(
+                    g.incident(x).eq(reference[x as usize].iter().copied()),
+                    "step {step}: incident({x})"
+                );
+            }
+            if step % 4_000 == 1_500 {
+                copy.clone_from(&g);
+                copied = true;
+            }
+            if copied {
+                assert_same_graph(&g, &copy, step);
+            }
+        }
+        assert!(
+            moves >= 10 && repacks >= 2 && compactions >= 2,
+            "{moves} moves, {repacks} repacks, {compactions} compactions"
+        );
+    }
+
+    #[test]
+    fn from_graph_lays_out_each_range_once() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut edges = Vec::new();
+        for _ in 0..300 {
+            let u: Vertex = if rng.gen_bool(0.5) {
+                0
+            } else {
+                rng.gen_range(0..12u32)
+            };
+            let v = (u + rng.gen_range(1..12u32)) % 12;
+            edges.push(Edge::new(u, v, rng.gen_range(1..5)));
+        }
+        let boot = DynGraph::from_graph(&Graph::from_edges(12, edges.iter().copied())).unwrap();
+        let mut grown = DynGraph::new(12);
+        for e in &edges {
+            grown.insert(e.u, e.v, e.weight).unwrap();
+        }
+        assert_eq!(boot.holes, 0, "no range moved");
+        let caps = |g: &DynGraph| g.ranges.iter().map(|r| r.cap).collect::<Vec<_>>();
+        assert_eq!(caps(&boot), caps(&grown), "the growth rule's headroom");
+        assert_eq!(
+            boot.ids.len(),
+            boot.ranges.iter().map(|r| r.cap as usize).sum()
+        );
+        for x in 0..12 {
+            assert!(boot.incident(x).eq(grown.incident(x)), "incident({x})");
+        }
     }
 }

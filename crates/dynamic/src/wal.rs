@@ -37,7 +37,9 @@ use crate::update::UpdateOp;
 pub struct WalConfig {
     /// Capture a fresh snapshot (and clear the journal tail) once the
     /// tail holds at least this many ops, checked at batch boundaries.
-    /// Smaller values recover faster but snapshot more often.
+    /// A snapshot is a flat copy of O(n + slab) words into the WAL's own
+    /// buffers, allocation-free once warm; smaller values recover faster
+    /// but snapshot more often.
     pub snapshot_every: usize,
 }
 

@@ -1,12 +1,13 @@
 //! Counting-allocator proof that the dynamic engine's update path is
 //! allocation-free at steady state: once a warm-up cycle has sized every
-//! persistent buffer (slab, adjacency, repair-kit arenas, the matching a
-//! global restore starts from, pending-repair set), re-applying the
-//! identical op cycle must not touch the allocator — whether it runs the
-//! eager repair, ends in the sentinel's heal without a WAL (the one global
-//! restore, which applies augmentations after deferred ops), defers
-//! repairs under a budget or window policy and flushes them, or feeds the
-//! sharded engine's batch path.
+//! persistent buffer (slab, adjacency arena, repair-kit arenas, the
+//! matching a global restore starts from, pending-repair set, the WAL's
+//! snapshot and journal tail), re-applying the identical op cycle must
+//! not touch the allocator — whether it runs the eager repair, ends in
+//! the sentinel's heal without a WAL (the one global restore, which
+//! applies augmentations after deferred ops), defers repairs under a
+//! budget or window policy and flushes them, feeds the sharded engine's
+//! batch path, or captures WAL snapshots between batches.
 //!
 //! This file holds a single test so no concurrent test thread can
 //! perturb the counter (the same discipline as the graph crate's
@@ -15,7 +16,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wmatch_dynamic::{DynamicConfig, DynamicMatcher, RepairPolicy, ShardedMatcher, UpdateOp};
+use wmatch_dynamic::{
+    DynamicConfig, DynamicMatcher, RepairPolicy, ShardedMatcher, UpdateOp, WalConfig,
+};
 
 struct CountingAllocator;
 
@@ -79,7 +82,7 @@ fn ops_two_augmentation_teardown(ops: &mut Vec<UpdateOp>, b: u32) {
 }
 
 #[test]
-fn steady_state_apply_and_restore_epochs_are_allocation_free() {
+fn steady_state_apply_heal_and_wal_capture_are_allocation_free() {
     let n = 48usize;
     // base graph: disjoint matched pairs
     let base: Vec<UpdateOp> = (0u32..40)
@@ -199,5 +202,37 @@ fn steady_state_apply_and_restore_epochs_are_allocation_free() {
     assert_eq!(
         during, 0,
         "warmed-up sharded batches must not allocate ({during} allocations)"
+    );
+
+    // phase 5: WAL capture — a snapshot every 8 journaled ops, checked
+    // after each 8-op batch, so the cycle's batches copy the graph,
+    // matching and counters into the WAL's warm snapshot. The cycle's
+    // 30 ops leave 6 in the tail, so the first cycle sizes the snapshot
+    // and the second the tail that carries into the next cycle's first
+    // batch; the third repeats the second exactly
+    let mut eng = ShardedMatcher::new(n, DynamicConfig::default(), 4).with_batch_size(8);
+    eng.apply_all(&base).expect("base ops are well-formed");
+    eng.enable_wal(WalConfig::new().with_snapshot_every(8));
+    let before_warm = eng.matching().to_edges();
+    for _ in 0..2 {
+        eng.apply_all(&cycle).expect("cycle ops are well-formed");
+    }
+    assert_eq!(
+        eng.matching().to_edges(),
+        before_warm,
+        "the cycle is state-neutral under the WAL too"
+    );
+    let snapshots_before = eng.wal_stats().expect("the WAL is enabled").snapshots;
+    let before = allocations();
+    eng.apply_all(&cycle).expect("cycle ops are well-formed");
+    let during = allocations() - before;
+    let snapshots = eng.wal_stats().expect("the WAL is enabled").snapshots - snapshots_before;
+    assert!(
+        snapshots >= 2,
+        "the measured cycle must capture snapshots ({snapshots} captured)"
+    );
+    assert_eq!(
+        during, 0,
+        "warmed-up WAL capture must not allocate ({during} allocations over {snapshots} snapshots)"
     );
 }

@@ -209,7 +209,7 @@ fn parallel_edges_agree_with_oracle_through_churn() {
 }
 
 #[test]
-fn weight_class_boundary_crossings_survive_rebuild_epochs() {
+fn weight_class_boundary_crossings_keep_the_floor() {
     // weights straddling the power-of-two weight-class boundaries: every
     // class is populated on both sides of a boundary, with the heavier
     // neighbour one unit up, and the floor is checked after every step
